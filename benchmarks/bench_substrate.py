@@ -3,12 +3,115 @@
 These do not correspond to a paper claim; they document the simulator's raw
 throughput (gossip rounds per second at different population sizes), which is
 what determines how far the experiment sweeps can be pushed on a laptop.
+
+The batch-kernel benchmark times one ``PushGossipNetwork.deliver_batch``
+round in ns per agent-round, on the fault-free path and on the resilient
+path under crash and Byzantine faults, at (R, n) in {(4, 600), (8, 10^4),
+(64, 10^3)}.  Run it on its own with::
+
+    PYTHONPATH=src python benchmarks/bench_substrate.py
+
+or through pytest (``test_deliver_batch_kernel``), which also records
+``benchmarks/results/deliver_batch_kernel.json``.  ``measure_kernel(toy=True)``
+runs a toy size for the smoke gate in ``tests/unit/test_smoke_gates.py``.
 """
+
+import json
+import os
+import time
+from pathlib import Path
+from typing import Any, Dict
 
 import numpy as np
 import pytest
 
-from repro.substrate import BinarySymmetricChannel, PushGossipNetwork, SimulationEngine
+from repro.substrate import (
+    BinarySymmetricChannel,
+    ByzantineSenders,
+    CrashStop,
+    PushGossipNetwork,
+    SimulationEngine,
+    build_injector,
+)
+
+KERNEL_RESULTS_PATH = Path(__file__).parent / "results" / "deliver_batch_kernel.json"
+
+#: (R, n) grids of the batch-kernel benchmark.
+KERNEL_SHAPES = ((4, 600), (8, 10_000), (64, 1_000))
+
+#: Delivery paths timed per shape; ``None`` is the fault-free path.
+KERNEL_FAULTS = {
+    "fault-free": None,
+    "crash": CrashStop(fraction=0.2, crash_probability=0.05),
+    "byzantine": ByzantineSenders(fraction=0.2),
+}
+
+#: Share of agents sending per round (Stage II has nearly everyone speak).
+SEND_DENSITY = 0.9
+
+
+def _seconds_per_round(
+    num_replicates: int, size: int, model, rounds: int, repeats: int
+) -> float:
+    """Best-of-``repeats`` mean wall time of one ``deliver_batch`` round."""
+    network = PushGossipNetwork(size=size)
+    channel = BinarySymmetricChannel(epsilon=0.25)
+    rng = np.random.default_rng(12345)
+    injector = build_injector(
+        model, size, np.random.default_rng(54321), num_replicates=num_replicates
+    )
+    inputs = np.random.default_rng(7)
+    send_mask = inputs.random((num_replicates, size)) < SEND_DENSITY
+    bits = np.where(send_mask, inputs.integers(0, 2, size=send_mask.shape), 0).astype(np.int8)
+    network.deliver_batch(send_mask, bits, channel, rng, faults=injector)  # warm-up
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(rounds):
+            network.deliver_batch(send_mask, bits, channel, rng, faults=injector)
+        best = min(best, (time.perf_counter() - start) / rounds)
+    return best
+
+
+def measure_kernel(toy: bool = False) -> Dict[str, Any]:
+    """Time ``deliver_batch`` on every path and shape; return the JSON payload.
+
+    Each measurement runs about two million agent-rounds per repeat (at
+    least three rounds) and keeps the best of five repeats, which filters
+    out scheduler noise.  ``toy=True`` times one tiny shape once.
+    """
+    shapes = ((2, 50),) if toy else KERNEL_SHAPES
+    repeats = 1 if toy else 5
+    seconds: Dict[str, float] = {}
+    ns_per_agent_round: Dict[str, float] = {}
+    for path, model in KERNEL_FAULTS.items():
+        for num_replicates, size in shapes:
+            agent_rounds = num_replicates * size
+            rounds = 3 if toy else max(3, 2_000_000 // agent_rounds)
+            per_round = _seconds_per_round(num_replicates, size, model, rounds, repeats)
+            key = f"{path} R={num_replicates} n={size}"
+            seconds[key] = per_round
+            ns_per_agent_round[key] = round(per_round / agent_rounds * 1e9, 2)
+    return {
+        "workload": {
+            "experiment": "deliver_batch kernel: one round per call",
+            "send_density": SEND_DENSITY,
+            "shapes": [list(shape) for shape in shapes],
+        },
+        "host": {"cpu_count": os.cpu_count(), "numpy": np.__version__},
+        "seconds": seconds,
+        "ns_per_agent_round": ns_per_agent_round,
+    }
+
+
+def test_deliver_batch_kernel():
+    """Measure the batch kernel on every path and record the JSON payload."""
+    payload = measure_kernel()
+    KERNEL_RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
+    KERNEL_RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    print()
+    print(json.dumps(payload["ns_per_agent_round"], indent=2))
+    assert all(value > 0 for value in payload["ns_per_agent_round"].values())
 
 
 @pytest.mark.parametrize("n", [1_000, 10_000, 100_000])
@@ -35,3 +138,8 @@ def test_full_broadcast_run(benchmark):
 
     result = benchmark.pedantic(run_once, rounds=3, iterations=1)
     assert result.success
+
+
+if __name__ == "__main__":
+    for name, value in measure_kernel()["ns_per_agent_round"].items():
+        print(f"{name:32s} {value:10.1f} ns/agent-round")

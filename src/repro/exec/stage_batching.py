@@ -382,7 +382,10 @@ def run_stage1_batch(
         # message replaces the current choice with probability 1/m.
         scratch.reset()
         heard_counts, chosen = scratch.heard_counts, scratch.chosen
+        # Flat views of the scratch grids: the loop indexes flat cell ids.
+        heard_flat, chosen_flat = heard_counts.reshape(-1), chosen.reshape(-1)
         resilient = faults is not None or topology is not None
+        phase_start_messages = state.messages_sent.copy()
         for _ in range(phase_length):
             report = network.deliver_batch(
                 send_mask, bits, channel, rng, faults=faults, topology=topology
@@ -392,16 +395,16 @@ def run_stage1_batch(
                 # so consumption never depends on who was heard (the fault
                 # layer's RNG-stability contract).
                 replace_grid = rng.random((R, n))
-            rows, cols = np.nonzero(report.accepted & dormant)
-            if rows.size:
-                counts = heard_counts[rows, cols] + 1
-                heard_counts[rows, cols] = counts
+            heard = (report.accepted & dormant).reshape(-1).nonzero()[0]
+            if heard.size:
+                counts = heard_flat[heard] + 1
+                heard_flat[heard] = counts
                 if resilient:
-                    replace = replace_grid[rows, cols] < 1.0 / counts
+                    replace = replace_grid.reshape(-1)[heard] < 1.0 / counts
                 else:
-                    replace = rng.random(rows.size) < 1.0 / counts
-                keep_rows, keep_cols = rows[replace], cols[replace]
-                chosen[keep_rows, keep_cols] = report.bits[keep_rows, keep_cols]
+                    replace = rng.random(heard.size) < 1.0 / counts
+                keep = heard[replace]
+                chosen_flat[keep] = report.bits.reshape(-1)[keep]
             state.messages_sent += report.messages_sent if resilient else senders_per_replicate
             state.rounds += 1
 
@@ -420,7 +423,7 @@ def run_stage1_batch(
                 newly_activated=newly_activated,
                 newly_correct=newly_correct,
                 bias_of_new=_bias_of_new_grid(newly_correct, newly_activated),
-                messages_sent=senders_per_replicate * phase_length,
+                messages_sent=state.messages_sent - phase_start_messages,
             )
         )
 
@@ -530,6 +533,7 @@ def run_stage2_batch(
         scratch.reset()
         totals, ones = scratch.totals, scratch.ones
         resilient = faults is not None or topology is not None
+        phase_start_messages = state.messages_sent.copy()
         for _ in range(phase_length):
             report = network.deliver_batch(
                 send_mask, bits, channel, rng, faults=faults, topology=topology
@@ -553,7 +557,7 @@ def run_stage2_batch(
                 bias_before=bias_before,
                 bias_after=population_bias_grid(state.opinions, correct_opinion),
                 correct_fraction_after=correct_now / n,
-                messages_sent=senders_per_replicate * phase_length,
+                messages_sent=state.messages_sent - phase_start_messages,
             )
         )
 

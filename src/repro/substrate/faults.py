@@ -256,8 +256,8 @@ class FaultInjector:
                 draws = self._rng.random((self.num_replicates, self.size))
                 at_risk = self.prone & ~self.crashed
                 newly = at_risk & (draws < model.crash_probability)
-                self.counters["crash_opportunities"] += int(at_risk.sum())
-                self.counters["crashes"] += int(newly.sum())
+                self.counters["crash_opportunities"] += int(np.count_nonzero(at_risk))
+                self.counters["crashes"] += int(np.count_nonzero(newly))
                 self.crashed |= newly
         elif isinstance(model, BurstNoise):
             draws = self._rng.random(self.num_replicates)
@@ -266,7 +266,7 @@ class FaultInjector:
                 draws >= model.stop_probability,
                 draws < model.start_probability,
             )
-            self.counters["burst_rounds"] += int(self.bursting.sum())
+            self.counters["burst_rounds"] += int(np.count_nonzero(self.bursting))
         self.rounds_started += 1
 
     # ------------------------------------------------------------------
@@ -300,7 +300,7 @@ class FaultInjector:
             fake = self._rng.integers(0, 2, size=bits.shape, dtype=bits.dtype)
         else:
             fake = np.full_like(bits, model.adversarial_bit)
-        self.counters["byzantine_messages"] += int((self.byzantine & send_mask).sum())
+        self.counters["byzantine_messages"] += int(np.count_nonzero(self.byzantine & send_mask))
         return np.where(self.byzantine, fake, bits)
 
     def corrupt_outgoing_serial(self, senders: np.ndarray, bits: np.ndarray) -> np.ndarray:
@@ -334,8 +334,8 @@ class FaultInjector:
         draws = self._rng.random(bits.shape)
         affected = accepted & self.bursting[:, None]
         flips = affected & (draws < model.flip_probability)
-        self.counters["burst_flip_opportunities"] += int(affected.sum())
-        self.counters["burst_flips"] += int(flips.sum())
+        self.counters["burst_flip_opportunities"] += int(np.count_nonzero(affected))
+        self.counters["burst_flips"] += int(np.count_nonzero(flips))
         return np.where(flips, bits ^ 1, bits)
 
     def corrupt_delivered_serial(

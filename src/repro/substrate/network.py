@@ -312,7 +312,8 @@ class PushGossipNetwork:
             ``(R, n)`` integer grid with the bit each agent would push
             (entries outside ``send_mask`` are ignored).
         channel:
-            Noise channel applied to accepted messages via
+            Noise channel applied to accepted messages, in the
+            replicate-major, recipient-ascending order of
             :meth:`NoiseChannel.transmit_batch`.
         rng:
             Randomness for target selection and collision resolution.
@@ -322,78 +323,40 @@ class PushGossipNetwork:
         topology:
             Optional non-uniform contact graph replacing uniform targets.
         """
+        send_mask, bits = self._check_batch_inputs(send_mask, bits)
+        self.rounds_executed += 1
         if faults is not None or topology is not None:
             return self._deliver_batch_resilient(send_mask, bits, channel, rng, faults, topology)
-        send_mask = np.asarray(send_mask, dtype=bool)
-        bits = np.asarray(bits)
-        if send_mask.ndim != 2:
-            raise ProtocolError("send_mask must be a 2-D (replicates, agents) grid")
-        if send_mask.shape != bits.shape:
-            raise ProtocolError("send_mask and bits must have the same shape")
-        num_replicates, size = send_mask.shape
-        if size != self.size:
-            raise ProtocolError(
-                f"batch is over {size} agents but the network has {self.size}"
-            )
-        masked_bits = bits[send_mask]
-        if masked_bits.size and (masked_bits.min() < 0 or masked_bits.max() > 1):
-            raise ProtocolError("message bits must be 0 or 1")
+        size = self.size
+        cells = send_mask.size
+        sent = send_mask.sum(axis=1)
+        accepted_bits = np.zeros(cells, dtype=np.int8)
+        accepted_senders = np.full(cells, -1, dtype=np.int64)
 
-        self.rounds_executed += 1
-        sent = send_mask.sum(axis=1).astype(np.int64)
-        accepted = np.zeros((num_replicates, size), dtype=bool)
-        accepted_bits = np.zeros((num_replicates, size), dtype=np.int8)
-        accepted_senders = np.full((num_replicates, size), -1, dtype=np.int64)
-
-        rows, cols = np.nonzero(send_mask)
-        if rows.size:
-            # One flat bucket per (replicate, recipient) pair keeps the
-            # replicates independent while resolving every collision in a
-            # single sort.
+        sender_cells = send_mask.reshape(-1).nonzero()[0]
+        if sender_cells.size:
+            # A message's bucket is the flat cell of its (replicate, recipient)
+            # pair: its replicate's first cell plus the target.
+            row_starts = np.repeat(np.arange(0, cells, size), sent)
+            cols = sender_cells - row_starts
             if self.allow_self_messages:
-                targets = rng.integers(0, size, size=rows.size)
+                targets = rng.integers(0, size, size=sender_cells.size)
             else:
-                draws = rng.integers(0, size - 1, size=rows.size)
+                draws = rng.integers(0, size - 1, size=sender_cells.size)
                 targets = draws + (draws >= cols)
-            priorities = rng.random(rows.size)
-            buckets = rows * size + targets
-            # Sorting by bucket with random tie-breaking picks a uniform
-            # winner per (replicate, recipient).  A single combined float key
-            # (integer bucket + fractional priority) is an order of magnitude
-            # faster than np.lexsort and exact while bucket ids fit the
-            # 53-bit float64 mantissa; batches anywhere near that size are
-            # unreachable in practice.
-            if num_replicates * size < 2**52:
-                order = np.argsort(buckets + priorities)
-            else:  # pragma: no cover - astronomically large batches
-                order = np.lexsort((priorities, buckets))
-            sorted_buckets = buckets[order]
-            is_first = np.empty(rows.size, dtype=bool)
-            is_first[0] = True
-            is_first[1:] = sorted_buckets[1:] != sorted_buckets[:-1]
-            winners = order[is_first]
-
-            winning_buckets = buckets[winners]
-            accepted.reshape(-1)[winning_buckets] = True
-            accepted_senders.reshape(-1)[winning_buckets] = cols[winners]
-            # winning_buckets is ascending (one winner per sorted bucket), so
-            # noising the winner bits directly consumes the channel stream in
-            # the same replicate-major, recipient-ascending order as
-            # NoiseChannel.transmit_batch — bit-identical, minus a grid copy.
-            noisy = channel.transmit(bits[rows[winners], cols[winners]], rng)
-            accepted_bits.reshape(-1)[winning_buckets] = noisy
-
-        delivered = accepted.sum(axis=1).astype(np.int64)
-        self.messages_sent_total += int(sent.sum())
-        self.messages_delivered_total += int(delivered.sum())
-        self.messages_dropped_total += int((sent - delivered).sum())
-        return BatchDeliveryReport(
-            accepted=accepted,
-            bits=accepted_bits.astype(np.int8),
-            senders=accepted_senders,
-            messages_sent=sent,
-            messages_delivered=delivered,
-        )
+            priorities = rng.random(sender_cells.size)
+            accepted, winning, winners = self._resolve_collisions(
+                row_starts + targets, priorities, cells
+            )
+            accepted_senders[winning] = cols[winners]
+            # ``winning`` is ascending, so the channel stream is consumed in
+            # replicate-major, recipient-ascending order, as
+            # NoiseChannel.transmit_batch would consume it.
+            winner_bits = bits.reshape(-1)[sender_cells[winners]]
+            accepted_bits[winning] = channel.transmit(winner_bits, rng)
+        else:
+            accepted = np.zeros(cells, dtype=bool)
+        return self._batch_report(accepted, accepted_bits, accepted_senders, sent)
 
     def deliver_all(
         self,
@@ -484,26 +447,13 @@ class PushGossipNetwork:
         topology:
             Optional non-uniform contact graph replacing uniform targets.
         """
+        send_mask, bits = self._check_batch_inputs(send_mask, bits)
+        self.rounds_executed += 1
         if faults is not None or topology is not None:
             return self._deliver_all_batch_resilient(
                 send_mask, bits, channel, rng, faults, topology
             )
-        send_mask = np.asarray(send_mask, dtype=bool)
-        bits = np.asarray(bits)
-        if send_mask.ndim != 2:
-            raise ProtocolError("send_mask must be a 2-D (replicates, agents) grid")
-        if send_mask.shape != bits.shape:
-            raise ProtocolError("send_mask and bits must have the same shape")
-        num_replicates, size = send_mask.shape
-        if size != self.size:
-            raise ProtocolError(
-                f"batch is over {size} agents but the network has {self.size}"
-            )
-        masked_bits = bits[send_mask]
-        if masked_bits.size and (masked_bits.min() < 0 or masked_bits.max() > 1):
-            raise ProtocolError("message bits must be 0 or 1")
-
-        self.rounds_executed += 1
+        size = self.size
         sent = send_mask.sum(axis=1).astype(np.int64)
         rows, cols = np.nonzero(send_mask)
         if rows.size:
@@ -652,22 +602,8 @@ class PushGossipNetwork:
         grids plus one full-grid channel pass, independent of the send mask
         and of any crash/churn pattern.
         """
-        send_mask = np.asarray(send_mask, dtype=bool)
-        bits = np.asarray(bits)
-        if send_mask.ndim != 2:
-            raise ProtocolError("send_mask must be a 2-D (replicates, agents) grid")
-        if send_mask.shape != bits.shape:
-            raise ProtocolError("send_mask and bits must have the same shape")
         num_replicates, size = send_mask.shape
-        if size != self.size:
-            raise ProtocolError(
-                f"batch is over {size} agents but the network has {self.size}"
-            )
-        masked_bits = bits[send_mask]
-        if masked_bits.size and (masked_bits.min() < 0 or masked_bits.max() > 1):
-            raise ProtocolError("message bits must be 0 or 1")
-        self.rounds_executed += 1
-
+        cells = send_mask.size
         if faults is not None:
             faults.begin_round()
             send_mask = faults.filter_send_mask(send_mask)
@@ -677,55 +613,32 @@ class PushGossipNetwork:
         priorities_grid = rng.random((num_replicates, size))
 
         effective_mask = send_mask if offline is None else send_mask & ~offline
-        sent = effective_mask.sum(axis=1).astype(np.int64)
-        rows, cols = np.nonzero(effective_mask)
-        targets = targets_grid[rows, cols]
-        if offline is not None and rows.size:
-            reachable = ~offline[rows, targets]
-            rows, cols, targets = rows[reachable], cols[reachable], targets[reachable]
+        sent = effective_mask.sum(axis=1)
+        sender_cells = effective_mask.reshape(-1).nonzero()[0]
+        row_starts = np.repeat(np.arange(0, cells, size), sent)
+        buckets = row_starts + targets_grid.reshape(-1)[sender_cells]
+        priorities = priorities_grid.reshape(-1)[sender_cells]
+        if offline is not None:
+            reachable = ~offline.reshape(-1)[buckets]
+            sender_cells, row_starts = sender_cells[reachable], row_starts[reachable]
+            buckets, priorities = buckets[reachable], priorities[reachable]
 
-        accepted = np.zeros((num_replicates, size), dtype=bool)
-        accepted_senders = np.full((num_replicates, size), -1, dtype=np.int64)
-        candidate = np.zeros((num_replicates, size), dtype=np.int8)
-        if rows.size:
-            priorities = priorities_grid[rows, cols]
-            buckets = rows * size + targets
-            if num_replicates * size < 2**52:
-                order = np.argsort(buckets + priorities)
-            else:  # pragma: no cover - astronomically large batches
-                order = np.lexsort((priorities, buckets))
-            sorted_buckets = buckets[order]
-            is_first = np.empty(rows.size, dtype=bool)
-            is_first[0] = True
-            is_first[1:] = sorted_buckets[1:] != sorted_buckets[:-1]
-            winners = order[is_first]
-            winning_buckets = buckets[winners]
-            accepted.reshape(-1)[winning_buckets] = True
-            accepted_senders.reshape(-1)[winning_buckets] = cols[winners]
-            candidate.reshape(-1)[winning_buckets] = np.asarray(bits, dtype=np.int8)[
-                rows[winners], cols[winners]
-            ]
+        accepted, winning, winners = self._resolve_collisions(buckets, priorities, cells)
+        winner_cells = sender_cells[winners]
+        accepted_senders = np.full(cells, -1, dtype=np.int64)
+        accepted_senders[winning] = winner_cells - row_starts[winners]
+        candidate = np.zeros(cells, dtype=np.int8)
+        candidate[winning] = bits.reshape(-1)[winner_cells]
 
         # Full-grid channel pass (every cell noised, acceptance masked after)
         # keeps noise consumption positional too.
-        noisy_grid = channel.transmit_batch(
-            candidate, np.ones((num_replicates, size), dtype=bool), rng
-        )
-        accepted_bits = np.where(accepted, noisy_grid, 0).astype(np.int8)
+        noisy = channel.transmit(candidate, rng)
+        accepted_bits = (noisy * accepted).astype(np.int8, copy=False)
+        accepted = accepted.reshape(num_replicates, size)
+        accepted_bits = accepted_bits.reshape(num_replicates, size)
         if faults is not None:
             accepted_bits = faults.corrupt_delivered_grid(accepted_bits, accepted)
-
-        delivered = accepted.sum(axis=1).astype(np.int64)
-        self.messages_sent_total += int(sent.sum())
-        self.messages_delivered_total += int(delivered.sum())
-        self.messages_dropped_total += int((sent - delivered).sum())
-        return BatchDeliveryReport(
-            accepted=accepted,
-            bits=accepted_bits,
-            senders=accepted_senders,
-            messages_sent=sent,
-            messages_delivered=delivered,
-        )
+        return self._batch_report(accepted, accepted_bits, accepted_senders, sent)
 
     def _deliver_all_resilient(
         self,
@@ -805,22 +718,7 @@ class PushGossipNetwork:
         messages, which can be fewer than ``messages_sent`` (unlike the
         fault-free path, where every sent message is delivered).
         """
-        send_mask = np.asarray(send_mask, dtype=bool)
-        bits = np.asarray(bits)
-        if send_mask.ndim != 2:
-            raise ProtocolError("send_mask must be a 2-D (replicates, agents) grid")
-        if send_mask.shape != bits.shape:
-            raise ProtocolError("send_mask and bits must have the same shape")
         num_replicates, size = send_mask.shape
-        if size != self.size:
-            raise ProtocolError(
-                f"batch is over {size} agents but the network has {self.size}"
-            )
-        masked_bits = bits[send_mask]
-        if masked_bits.size and (masked_bits.min() < 0 or masked_bits.max() > 1):
-            raise ProtocolError("message bits must be 0 or 1")
-        self.rounds_executed += 1
-
         if faults is not None:
             faults.begin_round()
             send_mask = faults.filter_send_mask(send_mask)
@@ -912,6 +810,73 @@ class PushGossipNetwork:
         )
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def _resolve_collisions(buckets: np.ndarray, priorities: np.ndarray, cells: int) -> tuple:
+        """Keep the minimum-priority message per bucket (single-accept rule).
+
+        Message ``i`` goes to flat bucket ``buckets[i]`` (its recipient's
+        cell) with priority ``priorities[i]``.  A per-bucket minimum over the
+        i.i.d. uniform priorities picks a uniform winner among colliding
+        messages without sorting; an owner array indexed by bucket then keeps
+        exactly one winner per bucket, even on exactly equal priorities.
+
+        Returns ``(accepted, winning, winners)``: the flat boolean acceptance
+        grid, the accepting buckets in ascending order and the index of each
+        one's winning message.
+        """
+        best = np.full(cells, np.inf)
+        np.minimum.at(best, buckets, priorities)
+        won = (priorities == best[buckets]).nonzero()[0]
+        owner = np.full(cells, -1, dtype=np.int64)
+        owner[buckets[won]] = won
+        accepted = owner >= 0
+        winning = accepted.nonzero()[0]
+        return accepted, winning, owner[winning]
+
+    def _batch_report(
+        self,
+        accepted: np.ndarray,
+        accepted_bits: np.ndarray,
+        accepted_senders: np.ndarray,
+        sent: np.ndarray,
+    ) -> BatchDeliveryReport:
+        """Shape one batch round's outputs into a report and update the counters."""
+        shape = (sent.size, self.size)
+        accepted = accepted.reshape(shape)
+        delivered = accepted.sum(axis=1)
+        total_sent = int(sent.sum())
+        total_delivered = int(delivered.sum())
+        self.messages_sent_total += total_sent
+        self.messages_delivered_total += total_delivered
+        self.messages_dropped_total += total_sent - total_delivered
+        return BatchDeliveryReport(
+            accepted=accepted,
+            bits=accepted_bits.reshape(shape),
+            senders=accepted_senders.reshape(shape),
+            messages_sent=sent,
+            messages_delivered=delivered,
+        )
+
+    def _check_batch_inputs(self, send_mask: np.ndarray, bits: np.ndarray) -> tuple:
+        """Validate one batch round's ``(R, n)`` inputs; return them as arrays."""
+        send_mask = np.asarray(send_mask, dtype=bool)
+        bits = np.asarray(bits)
+        if send_mask.ndim != 2:
+            raise ProtocolError("send_mask must be a 2-D (replicates, agents) grid")
+        if send_mask.shape != bits.shape:
+            raise ProtocolError("send_mask and bits must have the same shape")
+        if send_mask.shape[1] != self.size:
+            raise ProtocolError(
+                f"batch is over {send_mask.shape[1]} agents but the network has {self.size}"
+            )
+        # Only bits that are actually sent must be binary; the masked gather
+        # is needed only when the whole grid is not binary already.
+        if bits.size and (bits.min() < 0 or bits.max() > 1):
+            masked_bits = bits[send_mask]
+            if masked_bits.size and (masked_bits.min() < 0 or masked_bits.max() > 1):
+                raise ProtocolError("message bits must be 0 or 1")
+        return send_mask, bits
+
     def _draw_targets(self, senders: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Draw a uniformly random recipient for every sender."""
         if self.allow_self_messages:

@@ -26,7 +26,7 @@ from repro.exec.fault_batching import (
     run_consensus_comparator_batch,
     run_faulty_broadcast_batch,
 )
-from repro.exec.stage_batching import run_stage1_batch, source_batch_state
+from repro.exec.stage_batching import run_stage1_batch, run_stage2_batch, source_batch_state
 from repro.protocols.fault_tolerant import (
     PhasedApproximateConsensus,
     declared_fault_tolerance,
@@ -112,6 +112,54 @@ class TestBatchRngStability:
             )
             tails.append(rng.random(8))
         assert np.array_equal(tails[0], tails[1])
+
+
+class TestPhaseMessageAccounting:
+    """Per-phase message counts add up to the stage totals under faults.
+
+    The resilient kernels count the messages actually pushed each round, so
+    a crashed or offline sender must not be counted in its phase summary
+    either.
+    """
+
+    N, CRASHED = 200, tuple(range(1, 60))
+
+    def _run_stages(self, topology):
+        n, num_replicates = self.N, 3
+        parameters = ProtocolParameters.calibrated(n, 0.3)
+        injector = build_injector(
+            CrashStop(forced={0: self.CRASHED}), n, np.random.default_rng(5),
+            num_replicates=num_replicates,
+        )
+        network = PushGossipNetwork(size=n)
+        channel = BinarySymmetricChannel(epsilon=0.3)
+        rng = np.random.default_rng(17)
+        state = source_batch_state(n, num_replicates, 1)
+        stage1 = run_stage1_batch(
+            state, network, channel, rng, parameters.stage1, 1,
+            faults=injector, topology=topology,
+        )
+        stage2 = run_stage2_batch(
+            state, network, channel, rng, parameters.stage2, 1,
+            faults=injector, topology=topology,
+        )
+        return stage1, stage2
+
+    @pytest.mark.parametrize(
+        "topology", [None, ChurnTopology(offline_probability=0.2)], ids=["crash", "crash+churn"]
+    )
+    def test_phases_sum_to_stage_totals(self, topology):
+        for result in self._run_stages(topology):
+            phase_total = sum(phase.messages_sent for phase in result.phases)
+            assert np.array_equal(phase_total, result.messages_sent)
+
+    def test_crashed_agents_are_not_counted(self):
+        stage1, stage2 = self._run_stages(None)
+        # Stage II: every surviving agent is opinionated and sends every round.
+        survivors = self.N - len(self.CRASHED)
+        assert np.all(stage2.messages_sent == survivors * stage2.rounds)
+        for phase in stage1.phases:
+            assert np.all(phase.messages_sent <= phase.senders * phase.rounds)
 
 
 class TestPaperProtocolDifferential:

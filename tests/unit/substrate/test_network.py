@@ -272,3 +272,146 @@ class TestDeliverAllBatch:
             network.deliver_all_batch(
                 np.ones((2, 10), dtype=bool), np.full((2, 10), 3, dtype=np.int8), perfect, rng
             )
+
+
+def _argsort_winners(buckets, priorities):
+    """Oracle: the combined-key argsort the collision resolver replaced.
+
+    Sorting by ``bucket + priority`` and keeping the first message of every
+    bucket run picks the minimum-priority message per bucket; returns the
+    winning buckets (ascending) and the winning message indices.
+    """
+    order = np.argsort(buckets + priorities)
+    sorted_buckets = buckets[order]
+    is_first = np.empty(order.size, dtype=bool)
+    is_first[:1] = True
+    is_first[1:] = sorted_buckets[1:] != sorted_buckets[:-1]
+    winners = order[is_first]
+    return buckets[winners], winners
+
+
+def _argsort_deliver_batch(network, send_mask, bits, channel, rng):
+    """Oracle: the fault-free batch round as it ran on the argsort resolver."""
+    num_replicates, size = send_mask.shape
+    accepted = np.zeros((num_replicates, size), dtype=bool)
+    accepted_bits = np.zeros((num_replicates, size), dtype=np.int8)
+    accepted_senders = np.full((num_replicates, size), -1, dtype=np.int64)
+    rows, cols = np.nonzero(send_mask)
+    if rows.size:
+        if network.allow_self_messages:
+            targets = rng.integers(0, size, size=rows.size)
+        else:
+            draws = rng.integers(0, size - 1, size=rows.size)
+            targets = draws + (draws >= cols)
+        priorities = rng.random(rows.size)
+        winning_buckets, winners = _argsort_winners(rows * size + targets, priorities)
+        accepted.reshape(-1)[winning_buckets] = True
+        accepted_senders.reshape(-1)[winning_buckets] = cols[winners]
+        noisy = channel.transmit(bits[rows[winners], cols[winners]], rng)
+        accepted_bits.reshape(-1)[winning_buckets] = noisy
+    return accepted, accepted_bits, accepted_senders
+
+
+class TestCollisionResolver:
+    """Differential tests of the sort-free resolver against the argsort oracle."""
+
+    resolve = staticmethod(PushGossipNetwork._resolve_collisions)
+
+    @pytest.mark.parametrize("cells", [2, 3, 5, 8, 40])
+    def test_matches_argsort_oracle_under_heavy_collisions(self, cells):
+        rng = np.random.default_rng(cells)
+        for messages in (1, cells, 10 * cells, 200):
+            buckets = rng.integers(0, cells, size=messages)
+            priorities = rng.random(messages)
+            accepted, winning, winners = self.resolve(buckets, priorities, cells)
+            expected_buckets, expected_winners = _argsort_winners(buckets, priorities)
+            assert np.array_equal(winning, expected_buckets)
+            assert np.array_equal(winners, expected_winners)
+            assert np.array_equal(np.flatnonzero(accepted), expected_buckets)
+
+    def test_winners_come_in_bucket_ascending_order(self):
+        rng = np.random.default_rng(7)
+        buckets = rng.integers(0, 50, size=400)[::-1].copy()
+        accepted, winning, winners = self.resolve(buckets, rng.random(400), 50)
+        assert np.all(np.diff(winning) > 0)
+        assert np.array_equal(buckets[winners], winning)
+
+    def test_equal_priorities_keep_exactly_one_winner_per_bucket(self):
+        buckets = np.array([3, 0, 3, 3, 1, 0, 3], dtype=np.int64)
+        priorities = np.full(buckets.size, 0.25)
+        priorities[4] = 0.75  # the lone message of bucket 1 still wins
+        accepted, winning, winners = self.resolve(buckets, priorities, 5)
+        assert np.array_equal(winning, [0, 1, 3])
+        assert np.array_equal(accepted, [True, True, False, True, False])
+        assert np.array_equal(buckets[winners], winning)
+        assert winners.size == np.unique(winners).size
+
+    def test_empty_round(self):
+        empty = np.empty(0, dtype=np.int64)
+        accepted, winning, winners = self.resolve(empty, np.empty(0), 6)
+        assert accepted.shape == (6,) and not accepted.any()
+        assert winning.size == 0 and winners.size == 0
+
+    @pytest.mark.parametrize("allow_self", [False, True], ids=["no-self", "self"])
+    @pytest.mark.parametrize("size", [2, 3, 5])
+    def test_deliver_batch_matches_the_argsort_round(self, size, allow_self):
+        from repro.substrate.noise import BinarySymmetricChannel
+
+        inputs = np.random.default_rng(size)
+        num_replicates = 6
+        for _ in range(20):
+            send_mask = inputs.random((num_replicates, size)) < 0.8
+            bits = inputs.integers(0, 2, size=(num_replicates, size)).astype(np.int8)
+            seed = int(inputs.integers(1 << 30))
+            network = PushGossipNetwork(size=size, allow_self_messages=allow_self)
+            rng = np.random.default_rng(seed)
+            report = network.deliver_batch(
+                send_mask, bits, BinarySymmetricChannel(epsilon=0.1), rng
+            )
+            oracle_network = PushGossipNetwork(size=size, allow_self_messages=allow_self)
+            oracle_rng = np.random.default_rng(seed)
+            accepted, accepted_bits, accepted_senders = _argsort_deliver_batch(
+                oracle_network, send_mask, bits, BinarySymmetricChannel(epsilon=0.1), oracle_rng
+            )
+            assert np.array_equal(report.accepted, accepted)
+            assert np.array_equal(report.bits, accepted_bits)
+            assert np.array_equal(report.senders, accepted_senders)
+            assert np.array_equal(report.messages_delivered, accepted.sum(axis=1))
+            assert rng.random() == oracle_rng.random()
+
+
+class TestBatchInputChecks:
+    """Both batch entry points keep every input check, on both delivery paths."""
+
+    @pytest.mark.parametrize("method", ["deliver_batch", "deliver_all_batch"])
+    @pytest.mark.parametrize("resilient", [False, True], ids=["plain", "resilient"])
+    def test_bad_inputs_raise(self, perfect, method, resilient):
+        from repro.substrate.topology import ChurnTopology
+
+        network = PushGossipNetwork(size=10)
+        deliver = getattr(network, method)
+        extra = {"topology": ChurnTopology(offline_probability=0.1)} if resilient else {}
+        rng = np.random.default_rng(0)
+        mask = np.ones((2, 10), dtype=bool)
+        bits = np.ones((2, 10), dtype=np.int8)
+        with pytest.raises(ProtocolError, match="2-D"):
+            deliver(mask[0], bits[0], perfect, rng, **extra)
+        with pytest.raises(ProtocolError, match="same shape"):
+            deliver(mask, bits[:, :9], perfect, rng, **extra)
+        with pytest.raises(ProtocolError, match="agents"):
+            deliver(mask[:, :8], bits[:, :8], perfect, rng, **extra)
+        for bad in (3, -1):
+            bad_bits = bits.copy()
+            bad_bits[1, 4] = bad
+            with pytest.raises(ProtocolError, match="0 or 1"):
+                deliver(mask, bad_bits, perfect, rng, **extra)
+        assert network.rounds_executed == 0
+
+    def test_unsent_cells_may_hold_any_value(self, perfect):
+        network = PushGossipNetwork(size=10)
+        mask = np.zeros((2, 10), dtype=bool)
+        mask[0, :3] = True
+        bits = np.full((2, 10), 7, dtype=np.int8)
+        bits[0, :3] = 1
+        report = network.deliver_batch(mask, bits, perfect, np.random.default_rng(0))
+        assert report.bits[report.accepted].tolist() == [1] * int(report.accepted.sum())

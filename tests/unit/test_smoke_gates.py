@@ -288,6 +288,14 @@ class TestStageBenchAndAggregatorSmoke:
             assert "batch" in entry["speedup_vs_serial"], family
         module._assert_sweep_physics(payload["families"])
 
+    def test_deliver_batch_kernel_bench_measures_at_toy_sizes(self):
+        module = _load_script(BENCHMARKS_DIR / "bench_substrate.py", "_smoke_substrate_bench")
+        payload = module.measure_kernel(toy=True)
+        paths = {key.split()[0] for key in payload["ns_per_agent_round"]}
+        assert paths == {"fault-free", "crash", "byzantine"}
+        assert all(value > 0 for value in payload["ns_per_agent_round"].values())
+        assert payload["seconds"].keys() == payload["ns_per_agent_round"].keys()
+
     def test_collect_results_aggregates_both_shapes(self, tmp_path):
         results = tmp_path / "results"
         results.mkdir()

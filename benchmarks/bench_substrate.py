@@ -6,8 +6,12 @@ what determines how far the experiment sweeps can be pushed on a laptop.
 
 The batch-kernel benchmark times one ``PushGossipNetwork.deliver_batch``
 round in ns per agent-round, on the fault-free path and on the resilient
-path under crash and Byzantine faults, at (R, n) in {(4, 600), (8, 10^4),
-(64, 10^3)}.  Run it on its own with::
+path under crash and Byzantine faults, at (R, n) in {(1, 10^3), (4, 600),
+(8, 10^4), (64, 10^3)}.  Each is timed in two call patterns: ``one-shot``
+(every call builds its own plan, as the baseline and E9 kernels call it)
+and ``per-phase`` (one ``batch_phase`` plan serves ``PHASE_LENGTH`` rounds,
+as the Stage-I and Stage-II kernels call it; building the plan is timed
+too).  Run it on its own with::
 
     PYTHONPATH=src python benchmarks/bench_substrate.py
 
@@ -37,7 +41,13 @@ from repro.substrate import (
 KERNEL_RESULTS_PATH = Path(__file__).parent / "results" / "deliver_batch_kernel.json"
 
 #: (R, n) grids of the batch-kernel benchmark.
-KERNEL_SHAPES = ((4, 600), (8, 10_000), (64, 1_000))
+KERNEL_SHAPES = ((1, 1_000), (4, 600), (8, 10_000), (64, 1_000))
+
+#: Call patterns timed per path and shape (see the module docstring).
+KERNEL_PATTERNS = ("one-shot", "per-phase")
+
+#: Rounds one plan serves in the ``per-phase`` pattern, a typical phase length.
+PHASE_LENGTH = 16
 
 #: Delivery paths timed per shape; ``None`` is the fault-free path.
 KERNEL_FAULTS = {
@@ -51,7 +61,7 @@ SEND_DENSITY = 0.9
 
 
 def _seconds_per_round(
-    num_replicates: int, size: int, model, rounds: int, repeats: int
+    num_replicates: int, size: int, model, pattern: str, rounds: int, repeats: int
 ) -> float:
     """Best-of-``repeats`` mean wall time of one ``deliver_batch`` round."""
     network = PushGossipNetwork(size=size)
@@ -63,39 +73,57 @@ def _seconds_per_round(
     inputs = np.random.default_rng(7)
     send_mask = inputs.random((num_replicates, size)) < SEND_DENSITY
     bits = np.where(send_mask, inputs.integers(0, 2, size=send_mask.shape), 0).astype(np.int8)
-    network.deliver_batch(send_mask, bits, channel, rng, faults=injector)  # warm-up
+
+    def run(count: int) -> None:
+        if pattern == "one-shot":
+            for _ in range(count):
+                network.deliver_batch(send_mask, bits, channel, rng, faults=injector)
+            return
+        for first in range(0, count, PHASE_LENGTH):
+            plan = network.batch_phase(send_mask, bits)
+            for _ in range(min(PHASE_LENGTH, count - first)):
+                network.deliver_batch(
+                    plan.send_mask, plan.bits, channel, rng, faults=injector, phase=plan
+                )
+
+    run(1)  # warm-up
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        for _ in range(rounds):
-            network.deliver_batch(send_mask, bits, channel, rng, faults=injector)
+        run(rounds)
         best = min(best, (time.perf_counter() - start) / rounds)
     return best
 
 
 def measure_kernel(toy: bool = False) -> Dict[str, Any]:
-    """Time ``deliver_batch`` on every path and shape; return the JSON payload.
+    """Time ``deliver_batch`` on every path, pattern and shape; return the JSON payload.
 
     Each measurement runs about two million agent-rounds per repeat (at
     least three rounds) and keeps the best of five repeats, which filters
-    out scheduler noise.  ``toy=True`` times one tiny shape once.
+    out scheduler noise.  ``toy=True`` times one tiny shape once per path
+    and pattern.  Keys read ``"<path> <pattern> R=<R> n=<n>"``.
     """
     shapes = ((2, 50),) if toy else KERNEL_SHAPES
     repeats = 1 if toy else 5
     seconds: Dict[str, float] = {}
     ns_per_agent_round: Dict[str, float] = {}
     for path, model in KERNEL_FAULTS.items():
-        for num_replicates, size in shapes:
-            agent_rounds = num_replicates * size
-            rounds = 3 if toy else max(3, 2_000_000 // agent_rounds)
-            per_round = _seconds_per_round(num_replicates, size, model, rounds, repeats)
-            key = f"{path} R={num_replicates} n={size}"
-            seconds[key] = per_round
-            ns_per_agent_round[key] = round(per_round / agent_rounds * 1e9, 2)
+        for pattern in KERNEL_PATTERNS:
+            for num_replicates, size in shapes:
+                agent_rounds = num_replicates * size
+                rounds = 3 if toy else max(3, 2_000_000 // agent_rounds)
+                per_round = _seconds_per_round(
+                    num_replicates, size, model, pattern, rounds, repeats
+                )
+                key = f"{path} {pattern} R={num_replicates} n={size}"
+                seconds[key] = per_round
+                ns_per_agent_round[key] = round(per_round / agent_rounds * 1e9, 2)
     return {
         "workload": {
             "experiment": "deliver_batch kernel: one round per call",
             "send_density": SEND_DENSITY,
+            "patterns": list(KERNEL_PATTERNS),
+            "phase_length": PHASE_LENGTH,
             "shapes": [list(shape) for shape in shapes],
         },
         "host": {"cpu_count": os.cpu_count(), "numpy": np.__version__},
@@ -142,4 +170,4 @@ def test_full_broadcast_run(benchmark):
 
 if __name__ == "__main__":
     for name, value in measure_kernel()["ns_per_agent_round"].items():
-        print(f"{name:32s} {value:10.1f} ns/agent-round")
+        print(f"{name:42s} {value:10.1f} ns/agent-round")

@@ -386,9 +386,11 @@ def run_stage1_batch(
         heard_flat, chosen_flat = heard_counts.reshape(-1), chosen.reshape(-1)
         resilient = faults is not None or topology is not None
         phase_start_messages = state.messages_sent.copy()
+        plan = network.batch_phase(send_mask, bits)
         for _ in range(phase_length):
             report = network.deliver_batch(
-                send_mask, bits, channel, rng, faults=faults, topology=topology
+                plan.send_mask, plan.bits, channel, rng,
+                faults=faults, topology=topology, phase=plan,
             )
             if resilient:
                 # Positional reservoir draw: one fixed (R, n) grid per round
@@ -534,9 +536,11 @@ def run_stage2_batch(
         totals, ones = scratch.totals, scratch.ones
         resilient = faults is not None or topology is not None
         phase_start_messages = state.messages_sent.copy()
+        plan = network.batch_phase(send_mask, bits)
         for _ in range(phase_length):
             report = network.deliver_batch(
-                send_mask, bits, channel, rng, faults=faults, topology=topology
+                plan.send_mask, plan.bits, channel, rng,
+                faults=faults, topology=topology, phase=plan,
             )
             totals += report.accepted
             ones += report.bits  # zero wherever nothing was accepted

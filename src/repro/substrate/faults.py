@@ -226,7 +226,13 @@ class FaultInjector:
             "burst_flips": 0,
             "burst_flip_opportunities": 0,
         }
-        if isinstance(model, CrashStop) and model.forced is None:
+        if isinstance(model, CrashStop) and model.forced is not None:
+            forced_ids = [int(agent) for agents in model.forced.values() for agent in agents]
+            if any(not 0 <= agent < self.size for agent in forced_ids):
+                raise ParameterError(
+                    f"forced crash ids must be in [0, {self.size}), got {sorted(forced_ids)}"
+                )
+        elif isinstance(model, CrashStop):
             self.prone = _draw_members(
                 rng, self.num_replicates, self.size, model.fraction, model.immune
             )
@@ -248,10 +254,12 @@ class FaultInjector:
         model = self.model
         if isinstance(model, CrashStop):
             if model.forced is not None:
-                agents = model.forced.get(self.rounds_started, ())
-                for agent in agents:
-                    self.crashed[:, int(agent)] = True
-                self.counters["crashes"] += len(agents) * self.num_replicates
+                scheduled = model.forced.get(self.rounds_started, ())
+                agents = np.unique(np.asarray(scheduled, dtype=np.int64))
+                # Count only cells that turn crashed now: a repeated id or an
+                # agent that already crashed is not a new crash.
+                self.counters["crashes"] += int(np.count_nonzero(~self.crashed[:, agents]))
+                self.crashed[:, agents] = True
             else:
                 draws = self._rng.random((self.num_replicates, self.size))
                 at_risk = self.prone & ~self.crashed

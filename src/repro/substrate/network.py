@@ -30,7 +30,8 @@ contract, see :mod:`repro.substrate.faults`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -43,6 +44,7 @@ __all__ = [
     "DeliveryReport",
     "BatchDeliveryReport",
     "BatchDeliveryAllReport",
+    "BatchPhase",
     "PushGossipNetwork",
 ]
 
@@ -100,18 +102,36 @@ class BatchDeliveryReport:
     bits:
         The accepted bit after channel noise (0 wherever ``accepted`` is
         false).
-    senders:
-        Index of the sender whose message was accepted (-1 wherever
-        ``accepted`` is false).
-    messages_sent / messages_delivered:
+    messages_sent:
         Per-replicate message counts, shape ``(R,)``.
+    accepted_cells:
+        Flat ``r * n + j`` index of every accepting cell, ascending.
+    accepted_from:
+        The sender (agent index) of the message each accepting cell took,
+        aligned with ``accepted_cells``.
+
+    The ``senders`` grid and the per-replicate ``messages_delivered`` are
+    derived from these on first read; the stage kernels read neither.
     """
 
     accepted: np.ndarray
     bits: np.ndarray
-    senders: np.ndarray
     messages_sent: np.ndarray
-    messages_delivered: np.ndarray
+    accepted_cells: np.ndarray
+    accepted_from: np.ndarray
+
+    @cached_property
+    def senders(self) -> np.ndarray:
+        """Index of the sender whose message was accepted (-1 wherever
+        ``accepted`` is false), shape ``(R, n)``."""
+        grid = np.full(self.accepted.size, -1, dtype=np.int64)
+        grid[self.accepted_cells] = self.accepted_from
+        return grid.reshape(self.accepted.shape)
+
+    @cached_property
+    def messages_delivered(self) -> np.ndarray:
+        """Per-replicate accepted-message counts, shape ``(R,)``."""
+        return self.accepted.sum(axis=1)
 
     @property
     def messages_dropped(self) -> np.ndarray:
@@ -172,6 +192,111 @@ class BatchDeliveryAllReport:
         counts = np.zeros((self.num_replicates, size), dtype=np.int64)
         np.add.at(counts, (self.replicates, self.recipients), 1)
         return counts
+
+
+def _sender_lists(send_mask: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Per-replicate sent counts, flat sender cells, their row starts and columns."""
+    num_replicates, size = send_mask.shape
+    sent = _read_only(send_mask.sum(axis=1))
+    sender_cells = send_mask.reshape(-1).nonzero()[0]
+    row_starts = np.repeat(np.arange(0, num_replicates * size, size), sent)
+    return sent, sender_cells, row_starts, sender_cells - row_starts
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _resolve_collisions(
+    buckets: np.ndarray, priorities: np.ndarray, scratch: "_ResolverScratch"
+) -> tuple:
+    """Keep the minimum-priority message per bucket (single-accept rule).
+
+    Message ``i`` goes to flat bucket ``buckets[i]`` (its recipient's
+    cell) with priority ``priorities[i]``.  A per-bucket minimum over the
+    i.i.d. uniform priorities picks a uniform winner among colliding
+    messages without sorting; an owner array indexed by bucket then keeps
+    exactly one winner per bucket, even on exactly equal priorities.  The
+    per-bucket arrays are ``scratch.best`` and ``scratch.owner``, reset here.
+
+    Returns ``(accepted, winning, winners)``: the flat boolean acceptance
+    grid, the accepting buckets in ascending order and the index of each
+    one's winning message.
+    """
+    best, owner = scratch.best, scratch.owner
+    best.fill(np.inf)
+    np.minimum.at(best, buckets, priorities)
+    won = (priorities == best[buckets]).nonzero()[0]
+    owner.fill(-1)
+    owner[buckets[won]] = won
+    accepted = owner >= 0
+    winning = accepted.nonzero()[0]
+    return accepted, winning, owner[winning]
+
+
+class _ResolverScratch:
+    """Flat per-cell buffers of one batch phase, allocated once per plan.
+
+    ``best`` and ``owner`` are the collision resolver's per-bucket minimum
+    and winner arrays; ``candidate`` is the resilient path's full-grid
+    channel input.  Every round overwrites them with ``fill`` first, so a
+    plan serving many rounds never reallocates them; the allocation pin in
+    ``tests/unit/substrate/test_network.py`` counts constructions.
+    """
+
+    def __init__(self, cells: int) -> None:
+        self.best = np.empty(cells)
+        self.owner = np.empty(cells, dtype=np.int64)
+        self.candidate = np.empty(cells, dtype=np.int8)
+
+
+class BatchPhase:
+    """Delivery plan for the rounds of one phase over fixed ``(R, n)`` inputs.
+
+    In the paper's protocol the agents that speak, and the bit each one
+    pushes, do not change within a phase: newly informed Stage-I agents
+    breathe until the next phase, and every Stage-II message carries the
+    opinion held at the phase start.  A plan therefore derives once what
+    :meth:`PushGossipNetwork.deliver_batch` would otherwise recompute every
+    round: the input checks, the per-replicate sent counts, the flat sender
+    cells with their row starts and columns, the sender bits, and the
+    resolver and channel buffers.  Build one with
+    :meth:`PushGossipNetwork.batch_phase` and pass it as ``phase=`` together
+    with its own ``send_mask`` and ``bits``, which are read-only copies of
+    the grids it was built from.
+
+    On the resilient path the plan also keeps the crash-filtered send mask
+    and its sender lists; it rebuilds them only after the injector's crash
+    counter moved, i.e. in rounds where the crash set grew.  Nothing here
+    draws randomness, so a round served from a plan consumes every stream
+    exactly as a round without one.
+    """
+
+    def __init__(self, network: "PushGossipNetwork", send_mask: np.ndarray, bits: np.ndarray):
+        self.network = network
+        self.send_mask = send_mask
+        self.bits = bits
+        self.sent, self.sender_cells, self.row_starts, self.cols = _sender_lists(send_mask)
+        self.sender_bits = bits.reshape(-1)[self.sender_cells]
+        self.scratch = _ResolverScratch(send_mask.size)
+        self._alive_crashes = 0
+        self._alive = (send_mask, self.sent, self.sender_cells, self.row_starts, self.cols)
+
+    def alive_senders(self, faults: Optional[FaultInjector]) -> tuple:
+        """The crash-filtered send mask and its sender lists for this round.
+
+        Call after ``faults.begin_round()``.  The injector's ``crashes``
+        counter grows by exactly the cells that newly crashed, so an
+        unchanged counter means an unchanged crash set and the cached lists
+        still hold.
+        """
+        crashes = 0 if faults is None else faults.counters["crashes"]
+        if crashes != self._alive_crashes:
+            mask = faults.filter_send_mask(self.send_mask)
+            self._alive = (mask,) + _sender_lists(mask)
+            self._alive_crashes = crashes
+        return self._alive
 
 
 @dataclass
@@ -282,6 +407,7 @@ class PushGossipNetwork:
         rng: np.random.Generator,
         faults: Optional[FaultInjector] = None,
         topology: Optional[ContactTopology] = None,
+        phase: Optional[BatchPhase] = None,
     ) -> BatchDeliveryReport:
         """Execute one push-gossip round for ``R`` independent replicates at once.
 
@@ -322,41 +448,60 @@ class PushGossipNetwork:
             module docstring).
         topology:
             Optional non-uniform contact graph replacing uniform targets.
+        phase:
+            Optional plan from :meth:`batch_phase`, shared by the rounds of
+            one phase; ``send_mask`` and ``bits`` must then be the plan's own
+            grids.  Without one, the round builds a one-shot plan, so both
+            call patterns run the same round body and draw the same
+            variates.
         """
-        send_mask, bits = self._check_batch_inputs(send_mask, bits)
+        if phase is None:
+            send_mask, bits = self._check_batch_inputs(send_mask, bits)
+            phase = BatchPhase(self, send_mask, bits)
+        elif not (
+            phase.network is self and phase.send_mask is send_mask and phase.bits is bits
+        ):
+            raise ProtocolError(
+                "deliver_batch(phase=...) needs the plan's own network, send_mask and bits"
+            )
         self.rounds_executed += 1
         if faults is not None or topology is not None:
-            return self._deliver_batch_resilient(send_mask, bits, channel, rng, faults, topology)
+            return self._deliver_batch_resilient(phase, channel, rng, faults, topology)
         size = self.size
-        cells = send_mask.size
-        sent = send_mask.sum(axis=1)
-        accepted_bits = np.zeros(cells, dtype=np.int8)
-        accepted_senders = np.full(cells, -1, dtype=np.int64)
-
-        sender_cells = send_mask.reshape(-1).nonzero()[0]
+        accepted_bits = np.zeros(send_mask.size, dtype=np.int8)
+        sender_cells, cols = phase.sender_cells, phase.cols
         if sender_cells.size:
             # A message's bucket is the flat cell of its (replicate, recipient)
             # pair: its replicate's first cell plus the target.
-            row_starts = np.repeat(np.arange(0, cells, size), sent)
-            cols = sender_cells - row_starts
             if self.allow_self_messages:
                 targets = rng.integers(0, size, size=sender_cells.size)
             else:
                 draws = rng.integers(0, size - 1, size=sender_cells.size)
                 targets = draws + (draws >= cols)
             priorities = rng.random(sender_cells.size)
-            accepted, winning, winners = self._resolve_collisions(
-                row_starts + targets, priorities, cells
+            accepted, winning, winners = _resolve_collisions(
+                phase.row_starts + targets, priorities, phase.scratch
             )
-            accepted_senders[winning] = cols[winners]
             # ``winning`` is ascending, so the channel stream is consumed in
             # replicate-major, recipient-ascending order, as
             # NoiseChannel.transmit_batch would consume it.
-            winner_bits = bits.reshape(-1)[sender_cells[winners]]
-            accepted_bits[winning] = channel.transmit(winner_bits, rng)
+            accepted_bits[winning] = channel.transmit(phase.sender_bits[winners], rng)
+            accepted_from = cols[winners]
         else:
-            accepted = np.zeros(cells, dtype=bool)
-        return self._batch_report(accepted, accepted_bits, accepted_senders, sent)
+            accepted = np.zeros(send_mask.size, dtype=bool)
+            winning = accepted_from = np.empty(0, dtype=np.int64)
+        return self._batch_report(accepted, accepted_bits, winning, accepted_from, phase.sent)
+
+    def batch_phase(self, send_mask: np.ndarray, bits: np.ndarray) -> BatchPhase:
+        """Plan the :meth:`deliver_batch` rounds of one phase over fixed inputs.
+
+        Checks ``send_mask`` and ``bits`` once, keeps read-only copies of
+        them and derives the sender lists and scratch buffers every round of
+        the phase shares (see :class:`BatchPhase`).  Pass the plan as
+        ``phase=`` with ``plan.send_mask`` and ``plan.bits``.
+        """
+        send_mask, bits = self._check_batch_inputs(send_mask, bits)
+        return BatchPhase(self, _read_only(send_mask.copy()), _read_only(bits.copy()))
 
     def deliver_all(
         self,
@@ -587,8 +732,7 @@ class PushGossipNetwork:
 
     def _deliver_batch_resilient(
         self,
-        send_mask: np.ndarray,
-        bits: np.ndarray,
+        phase: BatchPhase,
         channel: NoiseChannel,
         rng: np.random.Generator,
         faults: Optional[FaultInjector],
@@ -602,43 +746,43 @@ class PushGossipNetwork:
         grids plus one full-grid channel pass, independent of the send mask
         and of any crash/churn pattern.
         """
-        num_replicates, size = send_mask.shape
-        cells = send_mask.size
+        num_replicates, size = phase.send_mask.shape
+        bits = phase.bits
         if faults is not None:
             faults.begin_round()
-            send_mask = faults.filter_send_mask(send_mask)
+        send_mask, sent, sender_cells, row_starts, cols = phase.alive_senders(faults)
+        if faults is not None:
             bits = faults.corrupt_outgoing_grid(bits, send_mask)
 
         targets_grid, offline = self._positional_targets(num_replicates, rng, topology)
         priorities_grid = rng.random((num_replicates, size))
 
-        effective_mask = send_mask if offline is None else send_mask & ~offline
-        sent = effective_mask.sum(axis=1)
-        sender_cells = effective_mask.reshape(-1).nonzero()[0]
-        row_starts = np.repeat(np.arange(0, cells, size), sent)
+        if offline is not None and not offline.any():
+            offline = None  # nobody is offline: the alive sender lists hold as they are
+        if offline is not None:
+            sent, sender_cells, row_starts, cols = _sender_lists(send_mask & ~offline)
         buckets = row_starts + targets_grid.reshape(-1)[sender_cells]
         priorities = priorities_grid.reshape(-1)[sender_cells]
         if offline is not None:
             reachable = ~offline.reshape(-1)[buckets]
-            sender_cells, row_starts = sender_cells[reachable], row_starts[reachable]
+            sender_cells, cols = sender_cells[reachable], cols[reachable]
             buckets, priorities = buckets[reachable], priorities[reachable]
 
-        accepted, winning, winners = self._resolve_collisions(buckets, priorities, cells)
-        winner_cells = sender_cells[winners]
-        accepted_senders = np.full(cells, -1, dtype=np.int64)
-        accepted_senders[winning] = winner_cells - row_starts[winners]
-        candidate = np.zeros(cells, dtype=np.int8)
-        candidate[winning] = bits.reshape(-1)[winner_cells]
+        accepted, winning, winners = _resolve_collisions(buckets, priorities, phase.scratch)
+        candidate = phase.scratch.candidate
+        candidate.fill(0)
+        candidate[winning] = bits.reshape(-1)[sender_cells[winners]]
 
         # Full-grid channel pass (every cell noised, acceptance masked after)
         # keeps noise consumption positional too.
         noisy = channel.transmit(candidate, rng)
         accepted_bits = (noisy * accepted).astype(np.int8, copy=False)
-        accepted = accepted.reshape(num_replicates, size)
-        accepted_bits = accepted_bits.reshape(num_replicates, size)
         if faults is not None:
-            accepted_bits = faults.corrupt_delivered_grid(accepted_bits, accepted)
-        return self._batch_report(accepted, accepted_bits, accepted_senders, sent)
+            accepted_bits = faults.corrupt_delivered_grid(
+                accepted_bits.reshape(num_replicates, size),
+                accepted.reshape(num_replicates, size),
+            )
+        return self._batch_report(accepted, accepted_bits, winning, cols[winners], sent)
 
     def _deliver_all_resilient(
         self,
@@ -810,51 +954,27 @@ class PushGossipNetwork:
         )
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _resolve_collisions(buckets: np.ndarray, priorities: np.ndarray, cells: int) -> tuple:
-        """Keep the minimum-priority message per bucket (single-accept rule).
-
-        Message ``i`` goes to flat bucket ``buckets[i]`` (its recipient's
-        cell) with priority ``priorities[i]``.  A per-bucket minimum over the
-        i.i.d. uniform priorities picks a uniform winner among colliding
-        messages without sorting; an owner array indexed by bucket then keeps
-        exactly one winner per bucket, even on exactly equal priorities.
-
-        Returns ``(accepted, winning, winners)``: the flat boolean acceptance
-        grid, the accepting buckets in ascending order and the index of each
-        one's winning message.
-        """
-        best = np.full(cells, np.inf)
-        np.minimum.at(best, buckets, priorities)
-        won = (priorities == best[buckets]).nonzero()[0]
-        owner = np.full(cells, -1, dtype=np.int64)
-        owner[buckets[won]] = won
-        accepted = owner >= 0
-        winning = accepted.nonzero()[0]
-        return accepted, winning, owner[winning]
-
     def _batch_report(
         self,
         accepted: np.ndarray,
         accepted_bits: np.ndarray,
-        accepted_senders: np.ndarray,
+        accepted_cells: np.ndarray,
+        accepted_from: np.ndarray,
         sent: np.ndarray,
     ) -> BatchDeliveryReport:
         """Shape one batch round's outputs into a report and update the counters."""
         shape = (sent.size, self.size)
-        accepted = accepted.reshape(shape)
-        delivered = accepted.sum(axis=1)
         total_sent = int(sent.sum())
-        total_delivered = int(delivered.sum())
+        total_delivered = int(accepted_cells.size)
         self.messages_sent_total += total_sent
         self.messages_delivered_total += total_delivered
         self.messages_dropped_total += total_sent - total_delivered
         return BatchDeliveryReport(
-            accepted=accepted,
+            accepted=accepted.reshape(shape),
             bits=accepted_bits.reshape(shape),
-            senders=accepted_senders.reshape(shape),
             messages_sent=sent,
-            messages_delivered=delivered,
+            accepted_cells=accepted_cells,
+            accepted_from=accepted_from,
         )
 
     def _check_batch_inputs(self, send_mask: np.ndarray, bits: np.ndarray) -> tuple:

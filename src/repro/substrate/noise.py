@@ -123,7 +123,12 @@ class NoiseChannel(abc.ABC):
     @staticmethod
     def _check_bits(bits: np.ndarray) -> np.ndarray:
         array = np.asarray(bits)
-        if array.size and (array.min() < 0 or array.max() > 1):
+        if array.dtype.kind not in "iu":
+            raise ParameterError(f"channel input bits must be integers, got dtype {array.dtype}")
+        # One OR-reduction checks both bounds: it is 0 or 1 exactly when
+        # every entry is, since a negative entry sets the sign bit and an
+        # entry above 1 a higher bit.
+        if array.size and int(np.bitwise_or.reduce(array, axis=None)) not in (0, 1):
             raise ParameterError("channel input bits must be 0 or 1")
         return array
 
@@ -149,7 +154,7 @@ class BinarySymmetricChannel(NoiseChannel):
             return array.copy()
         flip_mask = rng.random(array.shape) < self.flip_probability
         self._record_flips(flip_mask)
-        return np.where(flip_mask, 1 - array, array)
+        return array ^ flip_mask
 
 
 @dataclass
@@ -194,7 +199,7 @@ class HeterogeneousChannel(NoiseChannel):
         per_message_p = rng.uniform(self.low_fraction * max_p, max_p, size=array.shape)
         flip_mask = rng.random(array.shape) < per_message_p
         self._record_flips(flip_mask)
-        return np.where(flip_mask, 1 - array, array)
+        return array ^ flip_mask
 
 
 @dataclass

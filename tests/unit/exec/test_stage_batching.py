@@ -459,6 +459,33 @@ class TestScratchBufferHoisting:
         run_stage2_instrumented(N, EPSILON, 4, initial_bias=0.2, base_seed=1, parameters=parameters)
         assert constructions == [(4, N)]
 
+    def test_stage_kernels_build_one_delivery_plan_per_phase(self, monkeypatch):
+        plans, rounds = [], []
+        build, deliver = PushGossipNetwork.batch_phase, PushGossipNetwork.deliver_batch
+
+        def counting_build(self, send_mask, bits):
+            plans.append(build(self, send_mask, bits))
+            return plans[-1]
+
+        def counting_deliver(self, *args, phase=None, **kwargs):
+            rounds.append(phase)
+            return deliver(self, *args, phase=phase, **kwargs)
+
+        monkeypatch.setattr(PushGossipNetwork, "batch_phase", counting_build)
+        monkeypatch.setattr(PushGossipNetwork, "deliver_batch", counting_deliver)
+        stage1 = StageOneParameters(beta_s=8, beta=4, beta_f=8, num_intermediate_phases=2)
+        result = run_stage1_instrumented(N, EPSILON, 4, base_seed=1, parameters=stage1)
+        assert len(plans) == stage1.num_phases
+        assert len(rounds) == result.rounds and all(phase is not None for phase in rounds)
+        plans.clear()
+        rounds.clear()
+        stage2 = _parameters().stage2
+        result = run_stage2_instrumented(
+            N, EPSILON, 4, initial_bias=0.2, base_seed=1, parameters=stage2
+        )
+        assert len(plans) == stage2.num_phases
+        assert len(rounds) == result.rounds and all(phase is not None for phase in rounds)
+
     def test_scratch_reset_reuses_the_same_buffers(self):
         scratch = stage_batching._ReservoirScratch((3, 7))
         heard, chosen = scratch.heard_counts, scratch.chosen

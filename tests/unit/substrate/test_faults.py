@@ -96,6 +96,20 @@ class TestCrashMechanics:
         assert set(np.flatnonzero(injector.crashed_serial())) == {2, 5, 7}
         assert injector.num_crashed().tolist() == [3]
 
+    def test_forced_crash_counter_counts_each_crashed_cell_once(self):
+        # Agent 3 is listed twice in round 0 and again in round 2: four
+        # replicates, so four cells crash, not 4 * (2 + 1).
+        injector = _injector(CrashStop(forced={0: (3, 3), 2: (3,)}), size=6, num_replicates=4)
+        for _ in range(3):
+            injector.begin_round()
+        assert injector.num_crashed().tolist() == [1, 1, 1, 1]
+        assert injector.counters["crashes"] == 4
+
+    @pytest.mark.parametrize("bad_id", [-1, 6, 40])
+    def test_out_of_range_forced_ids_rejected_at_construction(self, bad_id):
+        with pytest.raises(ParameterError, match="forced crash ids"):
+            _injector(CrashStop(forced={0: (1,), 3: (bad_id,)}), size=6)
+
     def test_crashes_are_permanent_and_silence_senders(self):
         injector = _injector(CrashStop(forced={0: (1, 4)}), size=8)
         injector.begin_round()

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.errors import ParameterError, ProtocolError
-from repro.substrate.network import DeliveryReport, PushGossipNetwork
+from repro.substrate.network import (
+    DeliveryReport,
+    PushGossipNetwork,
+    _ResolverScratch,
+    _resolve_collisions,
+)
 from repro.substrate.noise import PerfectChannel
 
 
@@ -315,7 +320,9 @@ def _argsort_deliver_batch(network, send_mask, bits, channel, rng):
 class TestCollisionResolver:
     """Differential tests of the sort-free resolver against the argsort oracle."""
 
-    resolve = staticmethod(PushGossipNetwork._resolve_collisions)
+    @staticmethod
+    def resolve(buckets, priorities, cells):
+        return _resolve_collisions(buckets, priorities, _ResolverScratch(cells))
 
     @pytest.mark.parametrize("cells", [2, 3, 5, 8, 40])
     def test_matches_argsort_oracle_under_heavy_collisions(self, cells):
@@ -415,3 +422,201 @@ class TestBatchInputChecks:
         bits[0, :3] = 1
         report = network.deliver_batch(mask, bits, perfect, np.random.default_rng(0))
         assert report.bits[report.accepted].tolist() == [1] * int(report.accepted.sum())
+
+
+def _phase_channel(name):
+    from repro.substrate.noise import (
+        AdversarialFlipBudgetChannel,
+        BinarySymmetricChannel,
+        HeterogeneousChannel,
+    )
+
+    return {
+        "bsc": lambda: BinarySymmetricChannel(epsilon=0.3),
+        "perfect": lambda: PerfectChannel(),
+        "heterogeneous": lambda: HeterogeneousChannel(epsilon=0.2, low_fraction=0.3),
+        "adversarial": lambda: AdversarialFlipBudgetChannel(epsilon=0.2, budget=40),
+    }[name]()
+
+
+def _phase_fault_model(name):
+    from repro.substrate.faults import BurstNoise, ByzantineSenders, CrashStop
+
+    return {
+        "none": None,
+        "crash": CrashStop(fraction=0.3, crash_probability=0.2),
+        "forced": CrashStop(forced={0: (1,), 2: (0, 3, 3), 5: (4,)}),
+        "byzantine": ByzantineSenders(fraction=0.25),
+        "adversarial": ByzantineSenders(fraction=0.25, mode="adversarial", adversarial_bit=1),
+        "burst": BurstNoise(start_probability=0.4, stop_probability=0.2, flip_probability=0.5),
+    }[name]
+
+
+def _phase_topology(name):
+    from repro.substrate.topology import ChurnTopology, DegreeLimitedTopology, TwoClusterTopology
+
+    return {
+        "none": None,
+        "churn": ChurnTopology(offline_probability=0.2),
+        "degree": DegreeLimitedTopology(degree=3),
+        "cluster": TwoClusterTopology(cross_probability=0.1),
+    }[name]
+
+
+#: The kernel grid of ``test_resilient_regression.py`` — (channel,
+#: allow_self_messages, fault model, topology, replicates, agents) — plus a
+#: forced crash schedule, alone and under churn, so the plan's crash-filtered
+#: sender lists are rebuilt mid-phase.
+PHASE_CASES = [
+    ("bsc", False, "none", "none", 4, 37),
+    ("bsc", True, "none", "none", 3, 5),
+    ("heterogeneous", False, "none", "none", 5, 23),
+    ("adversarial", False, "none", "none", 2, 30),
+    ("perfect", True, "none", "none", 2, 2),
+    ("bsc", False, "crash", "none", 4, 37),
+    ("bsc", True, "byzantine", "none", 3, 5),
+    ("heterogeneous", False, "adversarial", "none", 3, 29),
+    ("adversarial", False, "burst", "none", 2, 30),
+    ("bsc", False, "none", "churn", 4, 40),
+    ("bsc", False, "burst", "churn", 3, 41),
+    ("bsc", False, "crash", "degree", 2, 16),
+    ("heterogeneous", False, "byzantine", "cluster", 3, 24),
+    ("bsc", False, "forced", "none", 3, 12),
+    ("bsc", False, "forced", "churn", 3, 12),
+]
+
+
+def _run_phase(case, planned, rounds=8):
+    """``rounds`` deliveries of one fixed (send_mask, bits) pair, through one
+    plan (``planned``) or through fresh one-shot calls; every stream seeded
+    alike."""
+    from repro.substrate.faults import build_injector
+
+    channel_name, allow_self, fault_name, topology_name, replicates, size = case
+    inputs = np.random.default_rng([replicates, size, 3])
+    send_mask = inputs.random((replicates, size)) < 0.7
+    bits = inputs.integers(0, 2, size=(replicates, size)).astype(np.int8)
+    rng = np.random.default_rng([size, replicates, 13])
+    fault_rng = np.random.default_rng(5)
+    network = PushGossipNetwork(size=size, allow_self_messages=allow_self)
+    channel = _phase_channel(channel_name)
+    injector = build_injector(
+        _phase_fault_model(fault_name), size, fault_rng, num_replicates=replicates
+    )
+    topology = _phase_topology(topology_name)
+    plan = network.batch_phase(send_mask, bits) if planned else None
+    reports = []
+    for _ in range(rounds):
+        if planned:
+            report = network.deliver_batch(
+                plan.send_mask, plan.bits, channel, rng,
+                faults=injector, topology=topology, phase=plan,
+            )
+        else:
+            report = network.deliver_batch(
+                send_mask, bits, channel, rng, faults=injector, topology=topology
+            )
+        reports.append(report)
+    return reports, network, channel, injector, rng, fault_rng
+
+
+REPORT_FIELDS = (
+    "accepted", "bits", "senders", "messages_sent", "messages_delivered",
+    "messages_dropped", "accepted_cells", "accepted_from",
+)
+
+
+class TestBatchPhasePlan:
+    """One plan serving a whole phase is indistinguishable from per-round calls."""
+
+    @pytest.mark.parametrize("case", PHASE_CASES, ids=["-".join(map(str, c)) for c in PHASE_CASES])
+    def test_planned_phase_equals_per_round_calls(self, case):
+        planned = _run_phase(case, planned=True)
+        fresh = _run_phase(case, planned=False)
+        for planned_report, fresh_report in zip(planned[0], fresh[0]):
+            for name in REPORT_FIELDS:
+                left, right = getattr(planned_report, name), getattr(fresh_report, name)
+                assert left.dtype == right.dtype and np.array_equal(left, right), name
+        _, net_a, chan_a, inj_a, rng_a, frng_a = planned
+        _, net_b, chan_b, inj_b, rng_b, frng_b = fresh
+        for name in (
+            "messages_sent_total", "messages_delivered_total",
+            "messages_dropped_total", "rounds_executed",
+        ):
+            assert getattr(net_a, name) == getattr(net_b, name), name
+        assert chan_a.flips_applied() == chan_b.flips_applied()
+        if inj_a is not None:
+            assert inj_a.counters == inj_b.counters
+            assert np.array_equal(inj_a.crashed, inj_b.crashed)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        assert frng_a.bit_generator.state == frng_b.bit_generator.state
+
+    def test_forced_crashes_rebuild_the_sender_lists_mid_phase(self):
+        reports, _, _, injector, _, _ = _run_phase(("bsc", False, "forced", "none", 3, 12), True)
+        # Agent 1 crashes before round 0, agents 0 and 3 before round 2 and
+        # agent 4 before round 5; the replicates' sent counts drop in step.
+        sent = [int(report.messages_sent.sum()) for report in reports]
+        assert sent[0] == sent[1] > sent[2] == sent[3] == sent[4] > sent[5]
+        assert injector.counters["crashes"] == 3 * 4
+
+    def test_plan_keeps_read_only_copies(self, perfect):
+        network = PushGossipNetwork(size=6)
+        send_mask = np.ones((2, 6), dtype=bool)
+        bits = np.ones((2, 6), dtype=np.int8)
+        plan = network.batch_phase(send_mask, bits)
+        send_mask[:] = False  # the caller's grids stay theirs
+        bits[:] = 0
+        assert plan.send_mask.all() and plan.bits.all()
+        with pytest.raises(ValueError):
+            plan.bits[0, 0] = 0
+        report = network.deliver_batch(
+            plan.send_mask, plan.bits, perfect, np.random.default_rng(1), phase=plan
+        )
+        assert report.messages_sent.tolist() == [6, 6]
+        assert np.all(report.bits[report.accepted] == 1)
+
+    def test_plan_rejects_other_arrays_and_networks(self, perfect):
+        network = PushGossipNetwork(size=6)
+        send_mask = np.ones((2, 6), dtype=bool)
+        bits = np.ones((2, 6), dtype=np.int8)
+        plan = network.batch_phase(send_mask, bits)
+        rng = np.random.default_rng(0)
+        for mask_arg, bits_arg in ((send_mask, plan.bits), (plan.send_mask, bits)):
+            with pytest.raises(ProtocolError, match="plan"):
+                network.deliver_batch(mask_arg, bits_arg, perfect, rng, phase=plan)
+        with pytest.raises(ProtocolError, match="plan"):
+            PushGossipNetwork(size=6).deliver_batch(
+                plan.send_mask, plan.bits, perfect, rng, phase=plan
+            )
+        with pytest.raises(ProtocolError, match="0 or 1"):
+            network.batch_phase(send_mask, np.full((2, 6), 2, dtype=np.int8))
+        assert network.rounds_executed == 0
+
+    @pytest.mark.parametrize("resilient", [False, True], ids=["plain", "resilient"])
+    def test_resolver_buffers_are_allocated_once_per_plan(self, monkeypatch, perfect, resilient):
+        from repro.substrate import network as network_module
+        from repro.substrate.topology import ChurnTopology
+
+        constructions = []
+        original = network_module._ResolverScratch.__init__
+
+        def counting_init(self, cells):
+            constructions.append(cells)
+            original(self, cells)
+
+        monkeypatch.setattr(network_module._ResolverScratch, "__init__", counting_init)
+        network = PushGossipNetwork(size=9)
+        inputs = np.random.default_rng(2)
+        plan = network.batch_phase(
+            inputs.random((3, 9)) < 0.8, inputs.integers(0, 2, size=(3, 9)).astype(np.int8)
+        )
+        buffers = (plan.scratch.best, plan.scratch.owner, plan.scratch.candidate)
+        topology = ChurnTopology(offline_probability=0.2) if resilient else None
+        rng = np.random.default_rng(4)
+        for _ in range(6):
+            network.deliver_batch(
+                plan.send_mask, plan.bits, perfect, rng, topology=topology, phase=plan
+            )
+        assert constructions == [27]
+        now = (plan.scratch.best, plan.scratch.owner, plan.scratch.candidate)
+        assert all(after is before for after, before in zip(now, buffers))

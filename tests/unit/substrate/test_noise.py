@@ -46,10 +46,42 @@ class TestBinarySymmetricChannel:
         channel = BinarySymmetricChannel(epsilon=0.2)
         assert channel.transmit(np.empty(0, dtype=np.int8), rng).size == 0
 
-    def test_rejects_non_bits(self, rng):
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([0, 2]),
+            np.array([-1, 0]),
+            np.array([[1, 0], [0, -128]], dtype=np.int8),
+            np.array([0.0, 1.0]),
+            np.array([True, False]),
+        ],
+        ids=["two", "negative", "int8-grid", "float", "bool"],
+    )
+    def test_rejects_non_bits(self, rng, bad):
         channel = BinarySymmetricChannel(epsilon=0.2)
         with pytest.raises(ParameterError):
-            channel.transmit(np.asarray([0, 2]), rng)
+            channel.transmit(bad, rng)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint8])
+    @pytest.mark.parametrize("make", [
+        lambda: BinarySymmetricChannel(epsilon=0.1),
+        lambda: HeterogeneousChannel(epsilon=0.2, low_fraction=0.3),
+    ], ids=["bsc", "heterogeneous"])
+    def test_flips_match_the_where_reference(self, make, dtype):
+        """Same variates, dtype and values as ``np.where(flip, 1 - bits, bits)``."""
+        bits = np.random.default_rng(3).integers(0, 2, size=(4, 50)).astype(dtype)
+        channel = make()
+        output = channel.transmit(bits, np.random.default_rng(9))
+        reference_rng = np.random.default_rng(9)
+        if isinstance(channel, HeterogeneousChannel):
+            limit = reference_rng.uniform(0.3 * 0.3, 0.3, size=bits.shape)
+        else:
+            limit = 0.4
+        flip = reference_rng.random(bits.shape) < limit
+        expected = np.where(flip, 1 - bits, bits)
+        assert output.dtype == expected.dtype == dtype
+        assert np.array_equal(output, expected)
+        assert channel.flips_applied() == int(flip.sum())
 
     def test_reset_counters(self, rng):
         channel = BinarySymmetricChannel(epsilon=0.2)

@@ -291,8 +291,10 @@ class TestStageBenchAndAggregatorSmoke:
     def test_deliver_batch_kernel_bench_measures_at_toy_sizes(self):
         module = _load_script(BENCHMARKS_DIR / "bench_substrate.py", "_smoke_substrate_bench")
         payload = module.measure_kernel(toy=True)
-        paths = {key.split()[0] for key in payload["ns_per_agent_round"]}
-        assert paths == {"fault-free", "crash", "byzantine"}
+        keys = [key.split() for key in payload["ns_per_agent_round"]]
+        assert {key[0] for key in keys} == {"fault-free", "crash", "byzantine"}
+        assert {key[1] for key in keys} == {"one-shot", "per-phase"}
+        assert len(keys) == 6
         assert all(value > 0 for value in payload["ns_per_agent_round"].values())
         assert payload["seconds"].keys() == payload["ns_per_agent_round"].keys()
 

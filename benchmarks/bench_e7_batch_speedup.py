@@ -6,7 +6,8 @@ direct-from-source reference) three ways — serial reference (one
 :class:`~repro.substrate.engine.SimulationEngine` per trial), vectorised
 batch (:func:`repro.exec.batching.run_baseline_batch` via the ``baseline``
 shape of :func:`~repro.exec.batching.run_sweep_batched`), and batch combined
-with point-level parallelism (``point_jobs``) — and records wall-clock times
+with point-level parallelism (the sweep on a local process pool installed
+with :func:`~repro.exec.backends.use_backend`) — and records wall-clock times
 and speedups in ``benchmarks/results/e7_batch_speedup.json``.
 
 The baselines were the slowest remaining serial workload: hundreds of
@@ -26,6 +27,7 @@ import time
 from pathlib import Path
 
 from repro.analysis.experiments import run_trials
+from repro.exec.backends import LocalPoolBackend, use_backend
 from repro.exec.batching import run_sweep_batched
 from repro.experiments.e7_baselines import _direct_trial, _forwarding_trial, _voter_trial
 
@@ -68,7 +70,7 @@ def _run_serial() -> dict:
     }
 
 
-def _run_batched(point_jobs=None):
+def _run_batched():
     """The same comparator family through the batched baseline simulator."""
     return run_sweep_batched(
         name="e7-batch-speedup",
@@ -77,7 +79,6 @@ def _run_batched(point_jobs=None):
         base_seed=BASE_SEED,
         defaults={"n": N, "epsilon": EPSILON},
         shape="baseline",
-        point_jobs=point_jobs,
     )
 
 
@@ -92,7 +93,8 @@ def test_e7_batch_speedup(print_report):
     batch_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    pooled_sweep = _run_batched(point_jobs=0)
+    with LocalPoolBackend() as backend, use_backend(backend):  # one worker per CPU
+        pooled_sweep = _run_batched()
     pooled_seconds = time.perf_counter() - start
 
     # Statistical-equivalence contract: deterministic round budgets match the

@@ -4,12 +4,13 @@ Runs the same Monte-Carlo sweep (majority consensus over a grid of
 ``(|A|, bias)`` points) three ways — serial reference, vectorised batch
 (:func:`repro.exec.batching.run_majority_batch` via
 :func:`~repro.exec.batching.run_sweep_batched`), and batch combined with
-point-level parallelism (``point_jobs``) — and records wall-clock times and
+point-level parallelism (the sweep on a local process pool installed with
+:func:`~repro.exec.backends.use_backend`) — and records wall-clock times and
 speedups in ``benchmarks/results/e8_batch_speedup.json``.
 
 The batch path amortises Python-level per-round overhead across all
 replicates of a sweep point and delivers its speedup even on a single core;
-``point_jobs`` additionally scales with the number of CPUs by running
+the pool additionally scales with the number of CPUs by running
 independent grid points concurrently (on a 1-CPU host it degenerates
 gracefully to roughly batch speed).  The test asserts the PR's headline
 claim: at least a 2x single-core batch speedup over the serial reference on
@@ -25,6 +26,7 @@ import time
 from pathlib import Path
 
 from repro.analysis.sweeps import parameter_grid, run_sweep
+from repro.exec.backends import LocalPoolBackend, use_backend
 from repro.exec.batching import run_sweep_batched
 from repro.experiments.e8_majority import _majority_trial
 
@@ -52,7 +54,7 @@ def _run_serial():
     )
 
 
-def _run_batched(point_jobs=None):
+def _run_batched():
     """The same sweep through the batched majority simulator."""
     return run_sweep_batched(
         name="e8-batch-speedup",
@@ -61,7 +63,6 @@ def _run_batched(point_jobs=None):
         base_seed=BASE_SEED,
         defaults={"n": N, "epsilon": EPSILON},
         shape="majority",
-        point_jobs=point_jobs,
     )
 
 
@@ -76,7 +77,8 @@ def test_e8_batch_speedup(print_report):
     batch_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    pooled_sweep = _run_batched(point_jobs=0)
+    with LocalPoolBackend() as backend, use_backend(backend):  # one worker per CPU
+        pooled_sweep = _run_batched()
     pooled_seconds = time.perf_counter() - start
 
     # Statistical-equivalence contract: the majority schedule is fixed by

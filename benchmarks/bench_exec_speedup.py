@@ -1,8 +1,10 @@
 """Speedup of the trial-execution subsystem on an E1-style broadcast sweep.
 
 Runs the same Monte-Carlo sweep (noisy broadcast over a grid of population
-sizes) three ways — serial reference, process-parallel
-(:class:`~repro.exec.runner.ParallelTrialRunner`), and vectorised batch
+sizes) three ways — in-process reference, process-parallel (the sweep on a
+:class:`~repro.exec.backends.LocalPoolBackend` installed with
+:func:`~repro.exec.backends.use_backend`, one task per sweep point), and
+vectorised batch
 (:mod:`repro.exec.batching`) — and records wall-clock times and speedups in
 ``benchmarks/results/exec_speedup.json``.
 
@@ -21,11 +23,11 @@ import os
 import time
 from pathlib import Path
 
-from repro.analysis.sweeps import run_sweep
-from repro.exec import ParallelTrialRunner, SerialTrialRunner, run_broadcast_sweep_batched
-from repro.experiments.e1_rounds_vs_n import _broadcast_trial
-
 import functools
+
+from repro.analysis.sweeps import run_sweep
+from repro.exec import LocalPoolBackend, run_broadcast_sweep_batched, use_backend
+from repro.experiments.e1_rounds_vs_n import _broadcast_trial
 
 SIZES = (500, 1000, 2000)
 EPSILON = 0.25
@@ -34,27 +36,26 @@ BASE_SEED = 101
 RESULTS_PATH = Path(__file__).parent / "results" / "exec_speedup.json"
 
 
-def _run_once(runner) -> "object":
-    """One E1-style sweep through ``run_sweep`` with the given runner."""
+def _run_once() -> "object":
+    """One E1-style sweep through ``run_sweep`` on the installed backend."""
     return run_sweep(
         name="exec-speedup",
         points=[{"n": n} for n in SIZES],
         trial_fn=functools.partial(_broadcast_trial, epsilon=EPSILON),
         trials_per_point=TRIALS,
         base_seed=BASE_SEED,
-        runner=runner,
     )
 
 
 def test_exec_speedup(print_report):
     """Measure serial vs parallel vs batched wall-clock and record the JSON."""
     start = time.perf_counter()
-    serial_sweep = _run_once(SerialTrialRunner())
+    serial_sweep = _run_once()
     serial_seconds = time.perf_counter() - start
 
-    parallel_runner = ParallelTrialRunner(jobs=None)
     start = time.perf_counter()
-    parallel_sweep = _run_once(parallel_runner)
+    with LocalPoolBackend() as pool, use_backend(pool):  # one worker per CPU
+        parallel_sweep = _run_once()
     parallel_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -85,7 +86,7 @@ def test_exec_speedup(print_report):
             "trials_per_point": TRIALS,
             "base_seed": BASE_SEED,
         },
-        "host": {"cpu_count": os.cpu_count(), "parallel_jobs": parallel_runner.effective_jobs},
+        "host": {"cpu_count": os.cpu_count(), "parallel_jobs": pool.effective_jobs},
         "seconds": {
             "serial": round(serial_seconds, 3),
             "parallel": round(parallel_seconds, 3),
@@ -95,7 +96,7 @@ def test_exec_speedup(print_report):
             "parallel": round(serial_seconds / parallel_seconds, 2),
             "batch": round(serial_seconds / batch_seconds, 2),
         },
-        "parallel_fallback_reason": parallel_runner.last_fallback_reason,
+        "parallel_tasks": pool.tasks_submitted,
     }
     RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
     RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")

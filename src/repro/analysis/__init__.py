@@ -16,8 +16,8 @@ from .estimators import (
 )
 from .experiments import ExperimentResult, TrialResult, run_trials
 
-# Persistence moved to repro.store (repro.analysis.resultsio remains as a
-# deprecated shim); the historical re-exports here stay warning-free.
+# Persistence lives in repro.store; these re-exports keep the analysis
+# package a one-stop import for result files.
 from ..store.serialization import load_result, load_sweep, save_result, save_sweep, to_jsonable
 from .scaling import (
     LinearFit,

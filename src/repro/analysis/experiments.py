@@ -8,24 +8,21 @@ base seed, calls the trial function, and collects the returned measurements
 into an :class:`ExperimentResult` that can be summarised, tabulated and
 serialised.
 
-*Where* the trials execute is delegated to the trial runners in
-:mod:`repro.exec.runner`: the default :class:`~repro.exec.runner.SerialTrialRunner`
-reproduces the historical in-process loop exactly, while
-:class:`~repro.exec.runner.ParallelTrialRunner` fans trials out over a
-process pool with an identical-results-for-identical-seeds guarantee.
+*Where* the trials execute is decided by the execution backend of the run:
+:func:`run_trials` hands one task per trial to the dispatch funnel
+:func:`repro.exec.pool.submit_tasks`, which loops in-process when no backend
+is installed.  Seeds are derived before dispatch and results are collected
+in trial order, so the result is bit-identical on every backend.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..errors import ExperimentError
 from .estimators import ScalarSummary, summarize_scalar
 from .statistics import BernoulliSummary, summarize_bernoulli
-
-if TYPE_CHECKING:  # pragma: no cover - avoids an import cycle with repro.exec
-    from ..exec.runner import TrialRunner
 
 __all__ = ["TrialResult", "ExperimentResult", "run_trials"]
 
@@ -115,8 +112,34 @@ class ExperimentResult:
         return self.rate_summary(key).rate
 
     # ------------------------------------------------------------------
+    @classmethod
+    def from_trials(
+        cls,
+        name: str,
+        config: Optional[Mapping[str, Any]],
+        seeds: Sequence[int],
+        raw_measurements: Sequence[Any],
+    ) -> "ExperimentResult":
+        """Assemble a result from per-trial seeds and raw trial return values.
+
+        Trial ``i`` ran with ``seeds[i]``; every return value must be a
+        mapping, else :class:`~repro.errors.ExperimentError` names the
+        experiment.
+        """
+        result = cls(name=name, config=dict(config or {}))
+        for trial_index, (seed, measurements) in enumerate(zip(seeds, raw_measurements)):
+            if not isinstance(measurements, Mapping):
+                raise ExperimentError(
+                    f"trial function for {name!r} must return a mapping, "
+                    f"got {type(measurements).__name__}"
+                )
+            result.trials.append(
+                TrialResult(trial_index=trial_index, seed=seed, measurements=dict(measurements))
+            )
+        return result
+
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable representation (used by :mod:`repro.analysis.resultsio`)."""
+        """JSON-serialisable representation (used by :mod:`repro.store`)."""
         return {
             "name": self.name,
             "config": self.config,
@@ -150,7 +173,6 @@ def run_trials(
     num_trials: int,
     base_seed: int = 0,
     config: Optional[Mapping[str, Any]] = None,
-    runner: Optional["TrialRunner"] = None,
 ) -> ExperimentResult:
     """Run ``num_trials`` independent trials of ``trial_fn`` and collect the results.
 
@@ -168,18 +190,28 @@ def run_trials(
         Root seed; fixing it makes the whole experiment reproducible.
     config:
         Arbitrary configuration metadata stored alongside the results.
-    runner:
-        Trial-execution strategy from :mod:`repro.exec.runner`; ``None``
-        selects the serial runner.  Runners derive identical per-trial seeds,
-        so the result does not depend on which one executes the trials (for
-        a picklable ``trial_fn``, parallel results are bit-identical).
-    """
-    if runner is None:
-        # Imported late: repro.exec.runner imports this module for the result
-        # containers, so a top-level import either way would be circular.
-        from ..exec.runner import SerialTrialRunner
 
-        runner = SerialTrialRunner()
-    return runner.run(
-        name=name, trial_fn=trial_fn, num_trials=num_trials, base_seed=base_seed, config=config
+    The trials are one task each on the run's execution backend (an
+    in-process loop when none is installed); for a picklable ``trial_fn``
+    the result is bit-identical on every backend.
+    """
+    # Imported late: repro.exec imports this module for the result
+    # containers, so a top-level import either way would be circular.
+    from ..exec.backends import Task
+    from ..exec.pool import submit_tasks
+    from ..exec.seeds import trial_seeds
+
+    if num_trials < 1:
+        raise ExperimentError("num_trials must be at least 1")
+    seeds = trial_seeds(base_seed, name, num_trials)
+    raw = submit_tasks(
+        [
+            Task(
+                fn=trial_fn,
+                args=(seed, index),
+                context=(("experiment", name), ("trial", index), ("seed", seed)),
+            )
+            for index, seed in enumerate(seeds)
+        ]
     )
+    return ExperimentResult.from_trials(name, config, seeds, raw)

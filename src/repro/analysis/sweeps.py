@@ -5,10 +5,10 @@ Every experiment driver in :mod:`repro.experiments` (the E1–E11 table in
 ``|A|``, initial bias, clock skew ...) with a fixed number of Monte-Carlo
 trials per grid point.  This module provides the grid construction and the
 sweep runner, returning one
-:class:`~repro.analysis.experiments.ExperimentResult` per point.  Like
-:func:`~repro.analysis.experiments.run_trials`, :func:`run_sweep` accepts a
-trial runner from :mod:`repro.exec.runner` to execute each point's trials in
-parallel.
+:class:`~repro.analysis.experiments.ExperimentResult` per point.
+:func:`run_sweep` dispatches one task per grid point to the run's execution
+backend (an in-process loop when none is installed), so independent points
+run concurrently on a pool with bit-identical results.
 """
 
 from __future__ import annotations
@@ -16,13 +16,10 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from ..errors import ExperimentError
-from .experiments import ExperimentResult, run_trials
-
-if TYPE_CHECKING:  # pragma: no cover - avoids an import cycle with repro.exec
-    from ..exec.runner import TrialRunner
+from .experiments import ExperimentResult
 
 __all__ = ["SweepPoint", "SweepResult", "parameter_grid", "run_sweep", "sweep_point_names"]
 
@@ -93,7 +90,7 @@ class SweepResult:
         """Collision-free per-point experiment names (the canonical naming).
 
         Delegates to :func:`sweep_point_names` — the single point-naming
-        rule shared by the serial, point-parallel and batched sweep paths —
+        rule shared by the per-trial and batched sweep paths —
         so consumers (run-artifact manifests, persistence payloads) never
         re-derive names from the ambiguous :meth:`SweepPoint.label`, which
         collides on duplicate grid points.
@@ -111,7 +108,7 @@ class SweepResult:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "SweepResult":
-        """Inverse of :meth:`to_dict` (used by :func:`repro.analysis.resultsio.load_sweep`)."""
+        """Inverse of :meth:`to_dict` (used by :func:`repro.store.load_sweep`)."""
         points = [SweepPoint.from_mapping(entry) for entry in payload.get("points", [])]
         results = [ExperimentResult.from_dict(entry) for entry in payload.get("results", [])]
         if len(points) != len(results):
@@ -141,7 +138,7 @@ def sweep_point_names(name: str, points: Sequence[SweepPoint]) -> List[str]:
     historical name — so existing sweeps reproduce identically and appending
     points (even duplicates) never changes the results of earlier points.
 
-    Shared by the serial, point-parallel and batched sweep paths
+    Shared by the per-trial and batched sweep paths
     (:func:`run_sweep` and :func:`repro.exec.batching.run_sweep_batched`), so
     every path derives the same per-point seeds.
     """
@@ -173,9 +170,9 @@ class _PointBoundTrial:
     """A sweep trial function with one grid point's parameters bound.
 
     A module-level class (rather than a closure) so the bound trial can cross
-    a process boundary: :class:`~repro.exec.runner.ParallelTrialRunner`
-    pickles the trial function into its workers, and closures cannot be
-    pickled.  The instance is picklable whenever ``trial_fn`` itself is.
+    a process boundary: a pool backend pickles each point task into its
+    workers, and closures cannot be pickled.  The instance is picklable
+    whenever ``trial_fn`` itself is.
     """
 
     trial_fn: SweepTrialFunction
@@ -185,6 +182,10 @@ class _PointBoundTrial:
         """Run one trial at the bound grid point."""
         return self.trial_fn(self.point.as_dict(), seed, trial_index)
 
+    def run_point(self, seeds: Sequence[int]) -> List[Any]:
+        """Run every trial of the point, in trial order (one point task)."""
+        return [self(seed, index) for index, seed in enumerate(seeds)]
+
 
 def run_sweep(
     name: str,
@@ -192,8 +193,6 @@ def run_sweep(
     trial_fn: SweepTrialFunction,
     trials_per_point: int,
     base_seed: int = 0,
-    runner: Optional["TrialRunner"] = None,
-    point_jobs: Optional[int] = None,
 ) -> SweepResult:
     """Run ``trials_per_point`` trials of ``trial_fn`` at every grid point.
 
@@ -201,73 +200,41 @@ def run_sweep(
     independently of the other points, so adding points to a sweep never
     changes existing results.  Duplicate point labels are disambiguated with
     the point index (see :func:`sweep_point_names`), so repeated grid points
-    run statistically independent — not byte-identical — trials.  ``runner``
-    selects the execution strategy for each point's trials (see
-    :func:`repro.analysis.experiments.run_trials`).
+    run statistically independent — not byte-identical — trials.
 
-    ``point_jobs`` instead parallelises *across* grid points: one shared
-    process pool executes whole points concurrently (``0`` = one worker per
-    CPU), each worker running its point's trials serially.  Per-point trial
-    seeds are derived in the parent exactly as the serial path derives them
-    and results are assembled in point order, so the returned sweep is
-    bit-identical to a serial run — the same identical-results contract as
-    :class:`~repro.exec.runner.ParallelTrialRunner`, at point granularity.
-    When ``point_jobs`` is active it takes precedence over ``runner`` (the
-    pool is already saturated by points); unpicklable trial functions fall
-    back to the serial path gracefully.
+    Each grid point is one task on the run's execution backend (see
+    :func:`repro.exec.pool.submit_tasks`); the task runs its point's trials
+    in order.  Per-point trial seeds are derived here, exactly as
+    :func:`~repro.analysis.experiments.run_trials` would derive them, and
+    results are assembled in point order, so the returned sweep is
+    bit-identical on every backend.  Unpicklable trial functions or point
+    values run in-process.
     """
-    point_list = [SweepPoint.from_mapping(raw_point) for raw_point in points]
-    point_names = sweep_point_names(name, point_list)
-
     # Imported late: repro.exec depends on this module for the sweep
     # containers, so a top-level import either way would be circular.
-    from ..exec import pool as exec_pool
+    from ..exec.backends import Task
+    from ..exec.pool import submit_tasks
+    from ..exec.seeds import trial_seeds
 
-    # A run-level backend (installed by run_experiment for --backend runs)
-    # takes the sweep at point granularity even when the caller did not ask
-    # for point_jobs — that is how a serial-path sweep shards across remote
-    # workers with zero driver changes.
-    backend_installed = exec_pool.active_backend() is not None
-    if point_jobs is not None or (backend_installed and runner is None):
-        from ..exec.runner import TrialRunner as _TrialRunner, trial_seeds
-
-        if trials_per_point < 1:
-            raise ExperimentError("trials_per_point must be at least 1")
-        jobs = exec_pool.resolve_point_jobs(point_jobs, len(point_list))
-        bound_trials = [_PointBoundTrial(trial_fn, point) for point in point_list]
-        # Probe the *bound* trials: the point parameters cross the process
-        # boundary too, so an unpicklable point value must also trigger the
-        # graceful serial fallback (as it does for ParallelTrialRunner).
-        if (jobs > 1 or backend_installed) and all(
-            exec_pool.picklability_error(bound) is None for bound in bound_trials
-        ):
-            seed_lists = [
-                trial_seeds(base_seed, point_name, trials_per_point)
-                for point_name in point_names
-            ]
-            raw_lists = exec_pool.run_point_trials_in_pool(
-                list(zip(bound_trials, seed_lists)), jobs, names=point_names
+    if trials_per_point < 1:
+        raise ExperimentError("trials_per_point must be at least 1")
+    point_list = [SweepPoint.from_mapping(raw_point) for raw_point in points]
+    point_names = sweep_point_names(name, point_list)
+    seed_lists = [
+        trial_seeds(base_seed, point_name, trials_per_point) for point_name in point_names
+    ]
+    raw_lists = submit_tasks(
+        [
+            Task(
+                fn=_PointBoundTrial(trial_fn, point).run_point,
+                args=(tuple(seeds),),
+                context=(("point", point_name), ("first_seed", seeds[0])),
             )
-            sweep = SweepResult(name=name)
-            for point, point_name, seeds, raw in zip(
-                point_list, point_names, seed_lists, raw_lists
-            ):
-                sweep.points.append(point)
-                sweep.results.append(
-                    _TrialRunner._package(point_name, point.as_dict(), seeds, raw)
-                )
-            return sweep
-
+            for point, point_name, seeds in zip(point_list, point_names, seed_lists)
+        ]
+    )
     sweep = SweepResult(name=name)
-    for point, point_name in zip(point_list, point_names):
-        result = run_trials(
-            name=point_name,
-            trial_fn=_PointBoundTrial(trial_fn, point),
-            num_trials=trials_per_point,
-            base_seed=base_seed,
-            config=point.as_dict(),
-            runner=runner,
-        )
+    for point, point_name, seeds, raw in zip(point_list, point_names, seed_lists, raw_lists):
         sweep.points.append(point)
-        sweep.results.append(result)
+        sweep.results.append(ExperimentResult.from_trials(point_name, point.as_dict(), seeds, raw))
     return sweep

@@ -4,13 +4,12 @@ This package is the declarative entry point to the reproduction's
 experiments (the E1–E11 table in ``README.md``):
 
 * :mod:`repro.api.spec` — the :class:`ExperimentSpec` registry: id, title,
-  paper claim, capability flags (``supports_batch`` /
-  ``supports_point_jobs`` / ``supports_runner``) and declared parameters
-  with defaults, replacing signature introspection everywhere;
+  paper claim, capability flags (``supports_batch`` / ``supports_jobs``)
+  and declared parameters with defaults, replacing signature introspection
+  everywhere;
 * :mod:`repro.api.config` — the frozen :class:`ExecutionConfig` (jobs,
-  batch, seed/trial overrides) that resolves itself into a runner +
-  batching :class:`ExecutionPlan` exactly once, validated against the spec
-  flags;
+  backend, batch, seed/trial overrides) that resolves itself into an
+  :class:`ExecutionPlan` exactly once, validated against the spec flags;
 * :mod:`repro.api.run` — :func:`run_experiment`, the single programmatic
   entry point, returning a :class:`~repro.store.RunArtifact`
   that :func:`~repro.store.save_run` /

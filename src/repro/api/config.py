@@ -1,38 +1,37 @@
 """Execution settings: a frozen :class:`ExecutionConfig` resolved exactly once.
 
 An :class:`ExecutionConfig` captures *how* an experiment should execute —
-worker count, batch mode, seed and trial-count overrides — independently of
-*which* experiment runs.  Calling :meth:`ExecutionConfig.resolve` against an
+worker count, backend, batch mode, seed and trial-count overrides —
+independently of *which* experiment runs.  Calling
+:meth:`ExecutionConfig.resolve` against an
 :class:`~repro.api.spec.ExperimentSpec` turns it into an
-:class:`ExecutionPlan`: the runner instance, batch flag and point-parallel
-worker count the driver will actually use, validated against the spec's
-capability flags.  This is the one place execution concerns are mapped onto
-driver keyword arguments; the CLI, :func:`repro.api.run_experiment` and the
-benchmark helpers all resolve through it, so a capability error (``--batch``
-on a driver without a batch path) carries the same message everywhere and
-can never drift from the registry.
+:class:`ExecutionPlan`, validated against the spec's capability flags.
+This is the one place execution settings are checked; the CLI,
+:func:`repro.api.run_experiment` and the benchmark helpers all resolve
+through it, so a capability error (``--batch`` on a driver without a batch
+path) carries the same message everywhere and can never drift from the
+registry.
 
-:func:`resolve_run_options` is the shim the experiment drivers call at the
-top of ``run``: it accepts either the new ``config=`` object (an
-:class:`ExecutionConfig`, or an already-resolved :class:`ExecutionPlan` so
-the resolution genuinely happens once per run) or the legacy ``runner=`` /
-``batch=`` / ``point_jobs=`` keyword arguments, which keep working
-bit-identically but emit a single :class:`DeprecationWarning`.
+Parallelism has one knob: the plan's execution backend
+(:meth:`ExecutionPlan.create_backend`) — the named one, or a local pool
+when only ``jobs`` is set — which :func:`repro.api.run_experiment`
+installs for the whole run.
+
+:func:`resolve_run_options` is what the experiment drivers call at the top
+of ``run``: it accepts the ``config=`` object (an :class:`ExecutionConfig`,
+or an already-resolved :class:`ExecutionPlan` so the resolution genuinely
+happens once per run).
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from ..errors import ExperimentError
 from .spec import ExperimentSpec, batchable_experiment_ids, get_spec
-
-if TYPE_CHECKING:  # pragma: no cover - avoids importing the exec layer eagerly
-    from ..exec.runner import TrialRunner
 
 __all__ = [
     "SERVICE_EXECUTION_KEYS",
@@ -56,8 +55,9 @@ class ExecutionConfig:
     ----------
     jobs:
         Worker-process count with the CLI's ``--jobs`` convention: ``None``
-        (default) = serial, ``0`` = one worker per CPU, ``k`` = ``k``
-        workers.  On the batch path this becomes point parallelism.
+        (default) or ``1`` = in-process, ``0`` = one worker per CPU, ``k`` =
+        ``k`` workers.  Without a ``backend`` it selects a local process
+        pool for the run; with one it sizes that backend's worker fleet.
     batch:
         Use the vectorised batch simulators instead of one engine per trial.
     base_seed:
@@ -67,11 +67,10 @@ class ExecutionConfig:
     backend:
         Execution backend for the run (``"in-process"``, ``"local"``,
         ``"remote"``; see :mod:`repro.exec.backends`).  ``None`` (default)
-        keeps the historical behaviour: in-process execution with a
-        throwaway local pool per parallel dispatch.  Naming a backend makes
-        :func:`repro.api.run_experiment` build it once, install it for the
-        whole run, and record it in the run manifest; results are
-        bit-identical on every backend.
+        means a local pool when ``jobs`` asks for workers, else in-process
+        execution.  :func:`repro.api.run_experiment` builds the backend
+        once, installs it for the whole run, and records it in the run
+        manifest; results are bit-identical on every backend.
     backend_options:
         Backend-specific options (e.g. ``{"workers": 4}``, or for an
         externally reachable worker fleet ``{"endpoint": "0.0.0.0:7777",
@@ -114,7 +113,8 @@ class ExecutionConfig:
         convention).  Two companions select the execution backend:
 
         * ``REPRO_BACKEND`` — ``in-process``, ``local`` or ``remote``
-          (unset/empty → the historical per-call dispatch);
+          (unset/empty → a local pool when the jobs variable asks for
+          workers, else in-process);
         * ``REPRO_WORKERS`` — worker count handed to that backend (pool
           size for ``local``, auto-spawned localhost workers for
           ``remote``), overriding the jobs variable for the backend.
@@ -172,7 +172,7 @@ class ExecutionConfig:
         return cls(store_path=Path(store_path), cache=True, **settings)
 
     def resolve(self, spec_or_id: Union[str, ExperimentSpec]) -> "ExecutionPlan":
-        """Resolve into the runner + batching plan for one experiment.
+        """Resolve into the execution plan for one experiment.
 
         Validation is driven entirely by the spec's capability flags:
 
@@ -181,15 +181,12 @@ class ExecutionConfig:
         * ``trials`` / ``base_seed`` overrides against a spec that does not
           declare those parameters raise likewise (E10 counts repetitions
           with ``monte_carlo_reps``);
-        * ``jobs`` on an experiment that cannot use them resolves to an
-          inert plan carrying an explanatory note (surfaced by the CLI)
-          instead of silently implying parallelism;
+        * ``jobs`` (or a parallel backend) on an experiment that cannot use
+          them resolves to a plan carrying an explanatory note (surfaced by
+          the CLI) instead of silently implying parallelism;
         * ``backend`` names and ``backend_options`` keys are validated
-          against the backend registry (:mod:`repro.exec.backends`), and a
-          parallel backend with no ``jobs`` resolves as ``jobs=0`` so
-          installing a worker fleet actually engages it.
+          against the backend registry (:mod:`repro.exec.backends`).
         """
-        from ..exec import resolve_runner
         from ..exec.backends import validate_backend_spec
 
         spec = get_spec(spec_or_id)
@@ -222,47 +219,25 @@ class ExecutionConfig:
                     f"settable parameters are: {', '.join(spec.parameter_names)}"
                 )
 
-        # A parallel backend without an explicit --jobs still means "use the
-        # workers": resolve as the all-CPUs convention so the runner /
-        # point-parallel machinery routes its tasks to the installed backend
-        # (which owns the real worker count).
-        effective_jobs = self.jobs
-        if effective_jobs is None and self.backend not in (None, "in-process"):
-            effective_jobs = 0
-
-        runner: Optional["TrialRunner"] = None
-        point_jobs: Optional[int] = None
-        notes: List[str] = []
-        if effective_jobs is not None:
-            if self.batch:
-                if spec.supports_point_jobs:
-                    point_jobs = effective_jobs
-                else:
-                    notes.append(
-                        f"{spec.experiment_id} --batch vectorises its whole Monte-Carlo "
-                        "in-process; --jobs has no effect"
-                    )
-            elif spec.supports_runner:
-                runner = resolve_runner(effective_jobs)
-            else:
-                notes.append(
-                    f"{spec.experiment_id} vectorises its Monte-Carlo in-process rather than "
-                    "running per-trial simulations; --jobs has no effect"
-                )
+        notes: Tuple[str, ...] = ()
+        wants_workers = self.jobs is not None or self.backend not in (None, "in-process")
+        if wants_workers and not spec.supports_jobs:
+            notes = (
+                f"{spec.experiment_id} vectorises its Monte-Carlo in-process rather than "
+                "running per-trial simulations; --jobs has no effect",
+            )
 
         return ExecutionPlan(
             spec=spec,
             jobs=self.jobs,
             batch=self.batch,
-            runner=runner,
-            point_jobs=point_jobs,
             trials=self.trials,
             base_seed=self.base_seed,
             backend=self.backend,
             backend_options=dict(self.backend_options) if self.backend_options else None,
             store_path=store_path,
             cache=self.cache,
-            notes=tuple(notes),
+            notes=notes,
         )
 
 
@@ -270,17 +245,15 @@ class ExecutionConfig:
 class ExecutionPlan:
     """A resolved execution strategy for one specific experiment.
 
-    Produced by :meth:`ExecutionConfig.resolve` (or by the legacy-kwarg shim
-    in :func:`resolve_run_options`); drivers read the ``runner`` / ``batch``
-    / ``point_jobs`` triple from it and apply the ``trials`` / ``base_seed``
-    overrides, so the mapping from settings to behaviour lives here once.
+    Produced by :meth:`ExecutionConfig.resolve`; drivers read ``batch`` and
+    apply the ``trials`` / ``base_seed`` overrides, and
+    :func:`repro.api.run_experiment` builds the run's backend from it, so
+    the mapping from settings to behaviour lives here once.
     """
 
     spec: ExperimentSpec
     jobs: Optional[int] = None
     batch: bool = False
-    runner: Optional["TrialRunner"] = None
-    point_jobs: Optional[int] = None
     trials: Optional[int] = None
     base_seed: Optional[int] = None
     backend: Optional[str] = None
@@ -290,28 +263,27 @@ class ExecutionPlan:
     notes: Tuple[str, ...] = field(default_factory=tuple)
 
     def create_backend(self) -> Optional[Any]:
-        """Build the plan's execution backend, or ``None`` for the default.
+        """Build the run's execution backend (not yet started), or ``None``.
 
-        Called exactly once per run by :func:`repro.api.run_experiment`;
-        the returned backend is not yet started.
+        The named backend, sized by ``jobs``; without one, a local process
+        pool when ``jobs`` asks for workers (``0`` = one per CPU, ``k > 1``)
+        on an experiment that can use them.  ``None`` — ``jobs`` unset or
+        ``1`` — means every dispatch runs in-process.  Called exactly once
+        per run by :func:`repro.api.run_experiment`.
         """
-        if self.backend is None:
-            return None
         from ..exec.backends import create_backend
 
-        return create_backend(self.backend, self.backend_options, jobs=self.jobs)
+        if self.backend is not None:
+            return create_backend(self.backend, self.backend_options, jobs=self.jobs)
+        if self.jobs in (None, 1) or not self.spec.supports_jobs:
+            return None
+        return create_backend("local", jobs=self.jobs)
 
     def describe(self) -> Dict[str, Any]:
         """JSON-friendly summary of the plan (stored in run manifests)."""
-        if self.runner is None:
-            runner_label = "batch" if self.batch else "serial"
-        else:
-            runner_label = type(self.runner).__name__
         return {
             "jobs": self.jobs,
             "batch": self.batch,
-            "runner": runner_label,
-            "point_jobs": self.point_jobs,
             "trials": self.trials,
             "base_seed": self.base_seed,
             "backend": {"name": self.backend, "options": dict(self.backend_options or {})}
@@ -328,55 +300,27 @@ def resolve_run_options(
     experiment_id: str,
     *,
     config: Optional[Union[ExecutionConfig, ExecutionPlan]] = None,
-    runner: Optional["TrialRunner"] = None,
-    batch: bool = False,
-    point_jobs: Optional[int] = None,
 ) -> ExecutionPlan:
-    """Resolve a driver's execution arguments into one :class:`ExecutionPlan`.
+    """Resolve a driver's ``config=`` argument into one :class:`ExecutionPlan`.
 
-    Called at the top of every driver ``run``.  Exactly one of the two
-    styles may be used:
-
-    * ``config=`` — an :class:`ExecutionConfig` (resolved here against the
-      registry spec) or an already-resolved :class:`ExecutionPlan` (passed
-      through, so :func:`repro.api.run_experiment` resolves exactly once);
-    * the legacy ``runner=`` / ``batch=`` / ``point_jobs=`` keywords — kept
-      bit-identical for backwards compatibility, but any use emits a single
-      :class:`DeprecationWarning` pointing at the unified API.
+    Called at the top of every driver ``run``.  ``config`` is an
+    :class:`ExecutionConfig` (resolved here against the registry spec), an
+    already-resolved :class:`ExecutionPlan` (passed through, so
+    :func:`repro.api.run_experiment` resolves exactly once), or ``None``
+    for the defaults.
     """
-    legacy = runner is not None or bool(batch) or point_jobs is not None
-    if config is not None:
-        if legacy:
-            raise ExperimentError(
-                f"{experiment_id}.run() received both config= and legacy execution "
-                "kwargs (runner=/batch=/point_jobs=); pass one or the other"
-            )
-        if isinstance(config, ExecutionPlan):
-            plan = config
-        elif isinstance(config, ExecutionConfig):
-            plan = config.resolve(experiment_id)
-        else:
-            raise ExperimentError(
-                f"config must be an ExecutionConfig or ExecutionPlan, "
-                f"got {type(config).__name__}"
-            )
-        if plan.spec.experiment_id != experiment_id:
-            raise ExperimentError(
-                f"execution plan was resolved for {plan.spec.experiment_id}, "
-                f"not {experiment_id}"
-            )
-        return plan
-
-    if legacy:
-        warnings.warn(
-            f"passing runner=/batch=/point_jobs= directly to {experiment_id}.run() is "
-            "deprecated; use repro.api.run_experiment with an ExecutionConfig",
-            DeprecationWarning,
-            stacklevel=3,
+    if config is None:
+        config = ExecutionConfig()
+    if isinstance(config, ExecutionPlan):
+        plan = config
+    elif isinstance(config, ExecutionConfig):
+        plan = config.resolve(experiment_id)
+    else:
+        raise ExperimentError(
+            f"config must be an ExecutionConfig or ExecutionPlan, got {type(config).__name__}"
         )
-    return ExecutionPlan(
-        spec=get_spec(experiment_id),
-        batch=bool(batch),
-        runner=runner,
-        point_jobs=point_jobs,
-    )
+    if plan.spec.experiment_id != experiment_id:
+        raise ExperimentError(
+            f"execution plan was resolved for {plan.spec.experiment_id}, not {experiment_id}"
+        )
+    return plan

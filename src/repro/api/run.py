@@ -33,9 +33,11 @@ picks them up, guaranteed to agree with what ``run_experiment`` would
 compute because ``run_experiment`` itself goes through it.
 
 The CLI (``repro-flip experiment``), the benchmark scripts and the examples
-all call this function; per-driver ``run(...)`` signatures remain available
-but are a deprecation-shimmed compatibility path (see
-:func:`repro.api.config.resolve_run_options`).
+all call this function.  It is also where parallelism is switched on: the
+plan's backend (:meth:`~repro.api.config.ExecutionPlan.create_backend`) is
+built, started and installed once for the whole run, and every dispatch
+inside the driver goes to it.  A driver's own ``run(config=...)`` executes
+on whatever backend its caller installed, in-process by default.
 """
 
 from __future__ import annotations
@@ -124,18 +126,22 @@ def _execute(resolved: ResolvedRun, execution: Dict[str, Any], **param_overrides
         report = resolved.spec.driver().run(config=plan, **param_overrides)
     else:
         # One backend per run: started once, installed for every dispatch
-        # the driver performs (trial fan-outs, point-parallel sweeps,
-        # batched task lists), closed when the driver returns.  This is
-        # where the persistent backends earn their keep — the local pool is
-        # spawned once here instead of per sweep-point family, and remote
-        # workers serve the whole run.
+        # the driver performs (trial fan-outs, sweep points, batched cells),
+        # closed when the driver returns.
         from ..exec.backends import use_backend
 
         with backend, use_backend(backend):
             report = resolved.spec.driver().run(config=plan, **param_overrides)
             # Record the *live* summary (resolved endpoint, spawned workers,
-            # chunks dispatched) before close() tears the backend down.
+            # tasks received) before close() tears the backend down.
             execution["backend"] = backend.describe()
+        # A spec without jobs support already carries its note from resolve().
+        idle = backend.name != "in-process" and execution["backend"]["tasks"] == 0
+        if idle and resolved.spec.supports_jobs:
+            execution["notes"].append(
+                f"{resolved.spec.experiment_id} dispatched no tasks to the {backend.name} "
+                "backend (this path vectorises its Monte-Carlo in-process); --jobs has no effect"
+            )
     wall_time = time.perf_counter() - started
 
     return RunArtifact(
@@ -164,8 +170,8 @@ def run_experiment(
         :class:`~repro.api.spec.ExperimentSpec` from the registry.
     config:
         Execution settings; ``None`` means the serial defaults.  An
-        :class:`~repro.api.config.ExecutionConfig` is resolved into a
-        runner + batching plan exactly once, here, and the resolved plan is
+        :class:`~repro.api.config.ExecutionConfig` is resolved into an
+        execution plan exactly once, here, and the resolved plan is
         handed to the driver; an already-resolved
         :class:`~repro.api.config.ExecutionPlan` for the same experiment is
         accepted as-is.

@@ -80,8 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="run Monte-Carlo trials across N worker processes (0 = one per CPU, default: serial); "
-        "results are identical to a serial run for the same seeds",
+        help="run the experiment's trials, sweep points or cells across N worker processes "
+        "of one local pool for the whole run (0 = one per CPU; default: in-process); with "
+        "--backend, the backend's worker count. Results are identical to an in-process run",
     )
     experiment.add_argument(
         "--batch",
@@ -89,14 +90,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulate all trials of each sweep point at once with the vectorised batch path "
         f"({batchable_experiment_ids()}; deterministic per base seed, but drawn from a "
         "batch-level random stream instead of per-trial streams); combine with --jobs to "
-        "additionally run independent sweep points across worker processes",
+        "additionally run independent sweep points or cells across worker processes",
     )
     experiment.add_argument(
         "--backend",
         choices=["in-process", "local", "remote"],
         default=None,
-        help="execution backend for the run (default: in-process with a throwaway pool per "
-        "parallel dispatch). 'local' keeps one persistent process pool for the whole run; "
+        help="execution backend for the run (default: 'local' when --jobs asks for workers, "
+        "else in-process). 'local' keeps one persistent process pool for the whole run; "
         "'remote' opens a work-stealing task queue that `python -m repro.worker` processes "
         "attach to (combine with --jobs to auto-spawn that many localhost workers). "
         "Results are bit-identical on every backend. Env equivalents: REPRO_BACKEND / "
@@ -449,7 +450,7 @@ def _list_experiments() -> int:
         capabilities: List[str] = []
         if spec.supports_batch:
             capabilities.append("--batch")
-        if spec.supports_runner or spec.supports_point_jobs:
+        if spec.supports_jobs:
             capabilities.append("--jobs")
         suffix = f"  [{' '.join(capabilities)}]" if capabilities else ""
         print(f"{experiment_id}: {spec.title}{suffix}")

@@ -1,27 +1,26 @@
-"""Trial-execution subsystem: serial, process-parallel and batched runners.
+"""Trial-execution subsystem: one dispatch funnel, pluggable backends, batching.
 
 The analysis layer (:mod:`repro.analysis`) defines *what* a Monte-Carlo
 experiment is — trial functions, seed bookkeeping, result containers.  This
 package defines *how* the trials execute:
 
-* :mod:`repro.exec.runner` — :class:`SerialTrialRunner` (the deterministic
-  reference) and :class:`ParallelTrialRunner` (a process-pool fan-out with an
-  identical-results-for-identical-seeds contract and automatic serial
-  fallback for unpicklable trial functions);
+* :mod:`repro.exec.seeds` — :func:`trial_seed` / :func:`trial_seeds`, the
+  single per-trial seed source of every execution path;
+* :mod:`repro.exec.pool` — the dispatch funnel
+  (:func:`~repro.exec.pool.submit_tasks`): every trial loop, sweep and
+  cell-structured driver hands it one ordered task list, which runs on the
+  run's backend, or in-process when none is installed (or a task cannot be
+  pickled);
 * :mod:`repro.exec.backends` — the pluggable execution-backend layer ("who
   runs a task list"): the in-process reference, a persistent local process
   pool reused across sweep-point families, and a remote work-stealing
   backend that ``python -m repro.worker`` processes attach to — all behind
   one ordered-results contract, so every backend is bit-identical;
-* :mod:`repro.exec.pool` — the dispatch plumbing between the runners/sweeps
-  and the backends (task construction, picklability probing, backend
-  routing with the historical per-call pool as the fallback);
 * :mod:`repro.exec.batching` — a vectorised path that simulates ``R``
   independent replicates of the noisy push-gossip protocols (broadcast,
   majority consensus *and* the Section 1.6 / Section 1.4 baseline family)
   as ``(R, n)`` NumPy grids instead of one engine per trial, plus a generic
-  batched sweep dispatcher with an optional point-parallel mode (one shared
-  pool across independent grid points);
+  batched sweep dispatcher (one backend task per grid point);
 * :mod:`repro.exec.stage_batching` — the instrumented ``(R, n)`` stage
   kernels underneath the batched protocols: Stage I / Stage II round loops
   with per-phase replicate-vector measurements (``X_i`` / ``Y_i`` /
@@ -32,16 +31,13 @@ package defines *how* the trials execute:
   non-uniform contact topology) and the batched phased approximate-consensus
   comparator, both differentially pinned against their serial references.
 
-Experiment drivers accept a ``runner=`` argument (surfaced as ``--jobs`` on
-the CLI) and — every driver, E1–E12 — a ``batch=`` flag (surfaced as
-``--batch``; ``--jobs`` composes with it via point parallelism where the
-driver sweeps independent cells); see ``docs/ARCHITECTURE.md`` for the
-determinism contract of each path.
+There is one parallelism knob: :func:`repro.api.run_experiment` installs a
+backend for a run that sets ``--jobs`` (a local pool) or ``--backend``, and
+every dispatch of the driver goes to it; see ``docs/ARCHITECTURE.md`` for
+the determinism contract.
 """
 
 from __future__ import annotations
-
-import os
 
 from .batching import (
     BatchBaselineResult,
@@ -83,21 +79,9 @@ from .backends import (
     create_backend,
     use_backend,
 )
-from .runner import (
-    ParallelTrialRunner,
-    SerialTrialRunner,
-    TrialRunner,
-    resolve_runner,
-    trial_seed,
-    trial_seeds,
-)
+from .seeds import trial_seed, trial_seeds
 
 __all__ = [
-    "TrialRunner",
-    "SerialTrialRunner",
-    "ParallelTrialRunner",
-    "resolve_runner",
-    "runner_from_env",
     "ExecutionBackend",
     "InProcessBackend",
     "LocalPoolBackend",
@@ -134,15 +118,3 @@ __all__ = [
     "run_consensus_comparator_batch",
 ]
 
-
-def runner_from_env(variable: str = "REPRO_JOBS") -> TrialRunner:
-    """Build a runner from an environment variable (used by the benchmarks).
-
-    The variable holds the worker count with the same convention as the CLI's
-    ``--jobs`` flag: unset or ``1`` → serial, ``0`` → one worker per CPU,
-    ``k > 1`` → ``k`` workers.
-    """
-    raw = os.environ.get(variable, "").strip()
-    if not raw:
-        return SerialTrialRunner()
-    return resolve_runner(int(raw))

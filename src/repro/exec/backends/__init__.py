@@ -1,17 +1,16 @@
 """Pluggable execution backends: who runs a task list, behind one interface.
 
-The dispatch sites of the execution layer (:mod:`repro.exec.pool`,
-:class:`~repro.exec.runner.ParallelTrialRunner`, the sweep dispatchers) used
-to hard-code a throwaway local process pool.  They now build
-:class:`~repro.exec.backends.base.Task` lists and hand them to whichever
+Every dispatch of the execution layer goes through one funnel,
+:func:`repro.exec.pool.submit_tasks`, which hands an ordered
+:class:`~repro.exec.backends.base.Task` list to whichever
 :class:`~repro.exec.backends.base.ExecutionBackend` is installed for the
-run:
+run (or loops in-process when none is):
 
 * ``in-process`` — :class:`~repro.exec.backends.local.InProcessBackend`,
-  the serial reference (exact historical semantics);
-* ``local`` — :class:`~repro.exec.backends.local.LocalPoolBackend`, the
-  historical process pool, but created once per run and reused across
-  sweep-point families;
+  the serial reference;
+* ``local`` — :class:`~repro.exec.backends.local.LocalPoolBackend`, one
+  process pool created per run and reused across sweep-point families
+  (what a run that only sets ``--jobs`` gets);
 * ``remote`` — :class:`~repro.exec.backends.remote.RemoteWorkerBackend`,
   a socket task queue that external ``python -m repro.worker`` processes
   attach to, with chunked work-stealing dispatch, capped retry on worker

@@ -1,9 +1,6 @@
 """The :class:`ExecutionBackend` contract and the task unit it executes.
 
-"Who runs a point task" used to be hard-coded: every dispatch site in
-:mod:`repro.exec.pool` spun up its own throwaway
-:class:`concurrent.futures.ProcessPoolExecutor`.  This module carves that
-decision out into a small strategy interface:
+"Who runs a task list" is a small strategy interface:
 
 * a :class:`Task` is one self-contained unit of work — a picklable callable
   with its arguments pre-resolved in the parent (including every seed), plus
@@ -22,15 +19,18 @@ ones — without changing a single byte of the assembled
 :class:`~repro.analysis.experiments.ExperimentResult`.
 
 A backend is *installed* for the duration of one run with
-:func:`use_backend`; the dispatch sites in :mod:`repro.exec.pool` consult
-:func:`active_backend` and fall back to the historical per-call local pool
-when none is installed, which is why no experiment driver needed to change.
+:func:`use_backend`; the dispatch funnel :func:`repro.exec.pool.submit_tasks`
+consults :func:`active_backend` and runs an in-process loop when none is
+installed, which is why no experiment driver names a backend.  The active
+backend is held in a :class:`contextvars.ContextVar`, so two runs on two
+threads (the experiment service's job workers) each see only their own.
 """
 
 from __future__ import annotations
 
 import abc
 import contextlib
+import contextvars
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -44,6 +44,7 @@ __all__ = [
     "ExecutionBackend",
     "active_backend",
     "use_backend",
+    "clear_active_backend",
 ]
 
 
@@ -110,6 +111,10 @@ class ExecutionBackend(abc.ABC):
     #: Short machine-readable strategy name (also the CLI ``--backend`` value).
     name: str = "?"
 
+    #: Tasks handed to :meth:`submit` so far (recorded by :meth:`describe`);
+    #: every implementation adds ``len(tasks)`` on each call.
+    tasks_submitted: int = 0
+
     def start(self) -> "ExecutionBackend":
         """Acquire execution resources; idempotent.  Returns ``self``."""
         return self
@@ -126,12 +131,12 @@ class ExecutionBackend(abc.ABC):
         run_task(tasks[i])`` — the ordered-assembly half of the determinism
         contract.  Failures raise :class:`~repro.errors.ExperimentError`
         built by :func:`task_failure_error` (in-process execution keeps the
-        raw exception, exactly like the historical serial path).
+        raw exception, exactly like the funnel's own in-process loop).
         """
 
     def describe(self) -> Dict[str, Any]:
         """JSON-friendly summary of the backend (recorded in run manifests)."""
-        return {"name": self.name}
+        return {"name": self.name, "tasks": self.tasks_submitted}
 
     def __enter__(self) -> "ExecutionBackend":
         return self.start()
@@ -141,18 +146,27 @@ class ExecutionBackend(abc.ABC):
 
 
 #: The backend installed for the current run, if any (see :func:`use_backend`).
-_ACTIVE_BACKEND: Optional[ExecutionBackend] = None
+_ACTIVE_BACKEND: "contextvars.ContextVar[Optional[ExecutionBackend]]" = contextvars.ContextVar(
+    "repro_active_backend", default=None
+)
 
 
 def active_backend() -> Optional[ExecutionBackend]:
-    """The backend installed by :func:`use_backend`, or ``None``.
+    """The backend installed by :func:`use_backend` in this context, or ``None``.
 
-    ``None`` means "no backend chosen": dispatch sites keep their historical
-    behaviour (in-process loops, per-call local pools).  Worker processes
-    never inherit this module-level state — it does not cross the pickle
-    boundary — so an installed pool backend cannot recursively spawn pools.
+    ``None`` means "no backend chosen": the dispatch funnel runs its tasks
+    in an in-process loop.  The value is per thread (a new thread starts
+    with none), and pool workers clear it on start-up
+    (:func:`clear_active_backend` is the pool initializer): a forked worker
+    would otherwise inherit its parent's backend and route a nested
+    dispatch to a copy of the parent's pool.
     """
-    return _ACTIVE_BACKEND
+    return _ACTIVE_BACKEND.get()
+
+
+def clear_active_backend() -> None:
+    """Uninstall any inherited backend (the process-pool worker initializer)."""
+    _ACTIVE_BACKEND.set(None)
 
 
 @contextlib.contextmanager
@@ -160,19 +174,19 @@ def use_backend(backend: ExecutionBackend) -> Iterator[ExecutionBackend]:
     """Install ``backend`` as the active backend for the enclosed run.
 
     :func:`repro.api.run_experiment` wraps the driver invocation in this, so
-    every dispatch site inside the driver — trial fan-out, point-parallel
-    sweeps, batched task lists — routes through the one backend the user
-    configured, with zero changes to the drivers themselves.  Nesting is
+    every dispatch inside the driver — trial fan-out, sweep points, batched
+    task lists — routes through the one backend of the run, with no backend
+    argument on the drivers themselves.  Nesting in one context is
     rejected: one run, one backend.
     """
-    global _ACTIVE_BACKEND
-    if _ACTIVE_BACKEND is not None:
+    current = _ACTIVE_BACKEND.get()
+    if current is not None:
         raise ExperimentError(
-            f"an execution backend ({_ACTIVE_BACKEND.name}) is already active; "
+            f"an execution backend ({current.name}) is already active; "
             "backends cannot be nested"
         )
-    _ACTIVE_BACKEND = backend
+    token = _ACTIVE_BACKEND.set(backend)
     try:
         yield backend
     finally:
-        _ACTIVE_BACKEND = None
+        _ACTIVE_BACKEND.reset(token)

@@ -2,28 +2,28 @@
 
 :class:`InProcessBackend` is the reference implementation of the
 :class:`~repro.exec.backends.base.ExecutionBackend` contract — a plain
-ordered loop in the calling process, byte-for-byte the historical serial
-semantics (including raw exception propagation).
+ordered loop in the calling process, byte-for-byte the serial semantics
+(including raw exception propagation).
 
-:class:`LocalPoolBackend` is the historical
-:class:`concurrent.futures.ProcessPoolExecutor` fan-out with one crucial
-difference: the pool is created once in :meth:`~LocalPoolBackend.start` and
-reused across every :meth:`~LocalPoolBackend.submit` call of the run,
-instead of being re-spawned per dispatch.  Multi-family drivers (a sweep
-family per epsilon, per protocol, per fault model ...) used to pay a full
-interpreter spawn-up per family; ``benchmarks/bench_backend_dispatch.py``
-records the reuse win.  Every submission is chunked with
-:func:`chunksize_for` so large task lists amortise per-task IPC.
+:class:`LocalPoolBackend` is a :class:`concurrent.futures.ProcessPoolExecutor`
+fan-out whose pool is created once in :meth:`~LocalPoolBackend.start` and
+reused across every :meth:`~LocalPoolBackend.submit` call of the run, so a
+multi-family driver (a sweep family per epsilon, per protocol, per fault
+model ...) pays one interpreter spawn-up per run, not per family;
+``benchmarks/bench_backend_dispatch.py`` records the reuse win.  Every
+submission is chunked with :func:`chunksize_for` so large task lists
+amortise per-task IPC.  A run that only sets ``--jobs`` gets this backend.
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence
 
 from ...errors import ExperimentError
-from .base import ExecutionBackend, Task, run_task, task_failure_error
+from .base import ExecutionBackend, Task, clear_active_backend, run_task, task_failure_error
 
 __all__ = ["default_jobs", "chunksize_for", "InProcessBackend", "LocalPoolBackend"]
 
@@ -45,16 +45,21 @@ def chunksize_for(num_tasks: int, jobs: int) -> int:
 class InProcessBackend(ExecutionBackend):
     """Execute every task in the calling process, in order.
 
-    The deterministic reference: exactly the loop the dispatch sites ran
-    before the backend layer existed, so exceptions propagate raw (no
-    wrapping) and no pickling constraint applies to the task callables.
+    The deterministic reference: exactly the loop the dispatch funnel runs
+    when no backend is installed, so exceptions propagate raw (no wrapping)
+    and no pickling constraint applies to the task callables.  Like a pool
+    worker, a task runs with no active backend, so a dispatch nested inside
+    it loops in-process instead of re-entering this backend.
     """
 
     name = "in-process"
 
     def submit(self, tasks: Sequence[Task]) -> List[Any]:
         """Run the tasks sequentially in the current process."""
-        return [run_task(task) for task in tasks]
+        self.tasks_submitted += len(tasks)
+        context = contextvars.copy_context()
+        context.run(clear_active_backend)
+        return [context.run(run_task, task) for task in tasks]
 
 
 class LocalPoolBackend(ExecutionBackend):
@@ -70,8 +75,7 @@ class LocalPoolBackend(ExecutionBackend):
     last_chunksize:
         The ``chunksize`` handed to the most recent ``pool.map`` — every
         submission is chunked (``tests/unit/exec/test_backends.py`` pins
-        this, closing the historical gap where two of the three dispatch
-        helpers paid per-task IPC).
+        this).
     """
 
     name = "local"
@@ -89,9 +93,16 @@ class LocalPoolBackend(ExecutionBackend):
         return self.jobs if self.jobs is not None else default_jobs()
 
     def start(self) -> "LocalPoolBackend":
-        """Spawn the worker pool (idempotent); reused by every ``submit``."""
+        """Spawn the worker pool (idempotent); reused by every ``submit``.
+
+        Each worker starts by clearing the active backend it may have
+        inherited through ``fork``, so a dispatch nested inside a task runs
+        in that worker instead of reaching a copy of this pool.
+        """
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.effective_jobs)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.effective_jobs, initializer=clear_active_backend
+            )
         return self
 
     def close(self) -> None:
@@ -111,6 +122,7 @@ class LocalPoolBackend(ExecutionBackend):
         """
         self.start()
         assert self._pool is not None  # for the type checker; start() just ran
+        self.tasks_submitted += len(tasks)
         self.last_chunksize = chunksize_for(len(tasks), self.effective_jobs)
         results: List[Any] = []
         iterator = self._pool.map(run_task, tasks, chunksize=self.last_chunksize)
@@ -126,4 +138,4 @@ class LocalPoolBackend(ExecutionBackend):
 
     def describe(self) -> Dict[str, Any]:
         """JSON-friendly summary of the backend (recorded in run manifests)."""
-        return {"name": self.name, "jobs": self.effective_jobs}
+        return {**super().describe(), "jobs": self.effective_jobs}

@@ -239,6 +239,7 @@ class RemoteWorkerBackend(ExecutionBackend):
         # earlier submit's requeued chunks are discarded, never misread as
         # this dispatch's chunk ids (the bit-identity contract).
         self._generation += 1
+        self.tasks_submitted += len(tasks)
         results = dispatch_chunks(
             tasks,
             self._task_queue,
@@ -254,7 +255,7 @@ class RemoteWorkerBackend(ExecutionBackend):
     def describe(self) -> Dict[str, Any]:
         """JSON-friendly summary of the backend (recorded in run manifests)."""
         return {
-            "name": self.name,
+            **super().describe(),
             "endpoint": self.address or self.endpoint,
             "workers_spawned": len(self._spawned),
             "chunk_size": self.settings.chunk_size,

@@ -38,18 +38,17 @@ right batch simulator, forwarding *every* recognised point setting
 (``correct_opinion``, ``allow_self_messages``, ``initial_set_size``,
 ``majority_bias``, calibration overrides, ...) and rejecting unrecognised
 ones — the same strictness a serial ``run_sweep`` trial function gets by
-construction.  Independent grid points can additionally execute concurrently
-on a shared process pool (``point_jobs``), composing batch-level
+construction.  Each grid point is one task on the run's execution backend,
+so on a pool independent points execute concurrently, composing batch-level
 vectorisation with point-level parallelism.
 
 Determinism contract
 --------------------
 * A batch run is fully determined by ``(n, epsilon, num_replicates,
   base_seed, parameters)`` (plus the instance settings for the majority
-  shape): two identical calls return identical arrays.  Point-parallel
-  sweeps preserve this bit-for-bit: per-point batch seeds are derived in the
-  parent before dispatch and results are assembled in point order, exactly
-  like :class:`~repro.exec.runner.ParallelTrialRunner` does for trials.
+  shape): two identical calls return identical arrays.  Every backend
+  preserves this bit-for-bit: per-point batch seeds are derived in the
+  parent before dispatch and results are assembled in point order.
 * Per-replicate dynamics are *statistically* equivalent to
   :func:`repro.core.broadcast.solve_noisy_broadcast` /
   :func:`repro.core.majority.solve_noisy_majority_consensus` — same
@@ -57,7 +56,7 @@ Determinism contract
   same distributions — but **not** bit-identical to serial trials, because
   the whole batch consumes one random stream instead of one stream tree per
   engine.  Experiments that must be replayable trial-for-trial (the default)
-  use the serial or parallel runners in :mod:`repro.exec.runner`; ``--batch``
+  run one engine per trial; ``--batch``
   trades that per-trial replayability for a large constant-factor speedup
   while keeping batch-level reproducibility.
 
@@ -88,8 +87,8 @@ from ..substrate.network import PushGossipNetwork
 from ..substrate.noise import BinarySymmetricChannel, NoiseChannel
 from ..substrate.population import NO_OPINION
 from ..substrate.rng import derive_seed, spawn_generator
-from . import pool
-from .runner import trial_seeds
+from .pool import run_point_tasks
+from .seeds import trial_seeds
 from .stage_batching import (
     run_stage1_batch,
     run_stage2_batch,
@@ -959,15 +958,10 @@ def measurements_to_experiment_result(
     :func:`batch_to_experiment_result` and the stage-instrumented drivers
     (E4–E6), whose measurement keys are driver-specific.
     """
-    from ..analysis.experiments import ExperimentResult, TrialResult
+    from ..analysis.experiments import ExperimentResult
 
     seeds = trial_seeds(base_seed, name, len(measurements))
-    result = ExperimentResult(name=name, config=dict(config or {}))
-    for index, (seed, trial_measurements) in enumerate(zip(seeds, measurements)):
-        result.trials.append(
-            TrialResult(trial_index=index, seed=seed, measurements=dict(trial_measurements))
-        )
-    return result
+    return ExperimentResult.from_trials(name, config, seeds, measurements)
 
 
 def batch_to_experiment_result(
@@ -1130,7 +1124,6 @@ def run_sweep_batched(
     base_seed: int = 0,
     defaults: Optional[Mapping[str, Any]] = None,
     shape: str = "auto",
-    point_jobs: Optional[int] = None,
 ) -> "Any":
     """Batched counterpart of :func:`repro.analysis.sweeps.run_sweep`.
 
@@ -1153,12 +1146,11 @@ def run_sweep_batched(
         (default) which picks the baseline simulator whenever a point names
         a ``protocol``, the majority simulator whenever a point defines an
         initial opinionated set, and the broadcast simulator otherwise.
-    point_jobs:
-        When set, independent grid points execute concurrently on one shared
-        :class:`~concurrent.futures.ProcessPoolExecutor` (``0`` = one worker
-        per CPU, ``1``/``None`` = in-process).  Per-point batch seeds are
-        derived in the parent before dispatch and results are assembled in
-        point order, so results are bit-identical to ``point_jobs=None``.
+
+    Each point is one task on the run's execution backend
+    (:func:`repro.exec.pool.run_point_tasks`); per-point batch seeds are
+    derived here before dispatch and results are assembled in point order,
+    so the sweep is bit-identical on every backend.
     """
     from ..analysis.sweeps import SweepPoint, SweepResult, sweep_point_names
 
@@ -1186,16 +1178,7 @@ def run_sweep_batched(
             _resolve_batch_task(point_name, settings, trials_per_point, base_seed, shape)
         )
 
-    jobs = pool.resolve_point_jobs(point_jobs, len(tasks))
-    # A run-level backend (installed by run_experiment for --backend runs)
-    # takes the whole task list even when point_jobs did not ask for a local
-    # pool — that is how a batched sweep shards across remote workers with
-    # zero driver changes.
-    if jobs > 1 or pool.active_backend() is not None:
-        batches = pool.run_tasks_in_pool(tasks, jobs)
-    else:
-        batches = [batch_fn(**kwargs) for batch_fn, kwargs in tasks]
-
+    batches = run_point_tasks(tasks)
     sweep = SweepResult(name=name)
     for point, point_name, batch in zip(sweep_points, point_names, batches):
         sweep.points.append(point)
@@ -1213,7 +1196,6 @@ def run_broadcast_sweep_batched(
     trials_per_point: int,
     base_seed: int = 0,
     defaults: Optional[Mapping[str, Any]] = None,
-    point_jobs: Optional[int] = None,
 ) -> "Any":
     """Broadcast-shaped convenience wrapper around :func:`run_sweep_batched`.
 
@@ -1229,5 +1211,4 @@ def run_broadcast_sweep_batched(
         base_seed=base_seed,
         defaults=defaults,
         shape="broadcast",
-        point_jobs=point_jobs,
     )

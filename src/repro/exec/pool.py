@@ -1,220 +1,71 @@
-"""Dispatch plumbing between the trial/sweep layers and the execution backends.
+"""The dispatch funnel between the trial/sweep layers and the execution backends.
 
 Monte-Carlo trials are embarrassingly parallel: every trial receives its own
-pre-derived seed and never communicates.  So are the grid points of a sweep:
-every point is seeded independently of the others.  This module owns the
-mechanics of turning either granularity into ordered
-:class:`~repro.exec.backends.base.Task` lists — picklability probing, task
-construction with attribution context, backend routing — so that the runner
-in :mod:`repro.exec.runner` and the sweep dispatchers
-(:func:`repro.analysis.sweeps.run_sweep`,
-:func:`repro.exec.batching.run_sweep_batched`) can stay pure policy objects.
+pre-derived seed and never communicates.  So are the grid points of a sweep
+and the cells of a cell-structured driver.  Every such dispatch builds an
+ordered :class:`~repro.exec.backends.base.Task` list and makes exactly one
+call to :func:`submit_tasks`:
 
-Routing rule (the heart of the backend refactor): when a backend has been
-installed for the run with :func:`repro.exec.backends.use_backend` — which
-is what :func:`repro.api.run_experiment` does when an
-:class:`~repro.api.config.ExecutionConfig` names one — every dispatch goes
-to it, whether that is the in-process reference, one persistent local pool,
-or remote workers.  When no backend is installed, each call falls back to a
-throwaway :class:`~repro.exec.backends.local.LocalPoolBackend`, which is
-byte- and behaviour-identical to the historical per-call
-:class:`concurrent.futures.ProcessPoolExecutor`.
+* :func:`repro.analysis.experiments.run_trials` — one task per trial;
+* :func:`repro.analysis.sweeps.run_sweep` — one task per sweep point;
+* :func:`run_point_tasks` — one task per pre-resolved ``(fn, kwargs)``
+  cell (E4, E7, E9, E11, E12 and
+  :func:`repro.exec.batching.run_sweep_batched`).
+
+So the dispatch granularity is fixed by which helper a driver calls, and
+there is one parallelism knob: the backend installed for the run with
+:func:`repro.exec.backends.use_backend` (what
+:func:`repro.api.run_experiment` does for ``--jobs`` or ``--backend``).
+With no backend installed every dispatch is an in-process loop.
 
 Two properties matter more than raw throughput:
 
 * **Determinism** — seeds are derived in the parent before dispatch and
   results are collected in submission order, so the assembled
-  :class:`~repro.analysis.experiments.ExperimentResult` is bit-identical to a
-  serial run of the same trial function with the same base seed, on every
-  backend.
-* **Graceful degradation** — trial functions that cannot cross a process
-  boundary (closures, lambdas, functions defined in ``__main__`` without a
-  file) are detected up front with :func:`picklability_error` and the caller
-  falls back to in-process execution instead of crashing mid-experiment.
+  :class:`~repro.analysis.experiments.ExperimentResult` is bit-identical to
+  the in-process loop on every backend.
+* **Graceful degradation** — tasks that cannot cross a process boundary
+  (closures, lambdas, functions defined in ``__main__`` without a file) are
+  detected up front with :func:`picklability_error` and run in-process
+  instead of crashing mid-experiment.
 """
 
 from __future__ import annotations
 
 import pickle
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
-from ..errors import ExperimentError
-from .backends import LocalPoolBackend, Task, active_backend, chunksize_for, default_jobs
+from .backends import Task, active_backend, run_task
 
-__all__ = [
-    "default_jobs",
-    "picklability_error",
-    "resolve_point_jobs",
-    "submit_tasks",
-    "run_trials_in_pool",
-    "run_point_trials_in_pool",
-    "run_tasks_in_pool",
-    "run_point_tasks",
-]
+__all__ = ["picklability_error", "submit_tasks", "run_point_tasks"]
 
 
-def picklability_error(trial_fn: Callable[..., Any]) -> Optional[str]:
-    """Return why ``trial_fn`` cannot be sent to a worker, or ``None`` if it can.
+def picklability_error(value: Any) -> Optional[str]:
+    """Return why ``value`` cannot be sent to a worker, or ``None`` if it can.
 
-    Closures and lambdas — the idiomatic way older experiment drivers bound
-    sweep parameters — pickle by qualified name and therefore fail here; the
-    drivers in :mod:`repro.experiments` now bind parameters with
+    Closures and lambdas pickle by qualified name and therefore fail here;
+    the drivers in :mod:`repro.experiments` bind parameters with
     :func:`functools.partial` over module-level functions precisely so this
     probe passes.
     """
     try:
-        pickle.dumps(trial_fn)
+        pickle.dumps(value)
     except Exception as error:  # pickle raises a zoo of types here
         return f"{type(error).__name__}: {error}"
     return None
 
 
-def _chunksize(num_tasks: int, jobs: int) -> int:
-    """Chunk size for a pooled submission (kept as the historical name)."""
-    return chunksize_for(num_tasks, jobs)
+def submit_tasks(tasks: Sequence[Task]) -> List[Any]:
+    """Execute ``tasks`` and return their results in task order.
 
-
-def submit_tasks(tasks: Sequence[Task], jobs: int) -> List[Any]:
-    """Execute a task list on the run's backend, results in task order.
-
-    The single funnel every pooled dispatch goes through: the active backend
-    if one is installed for this run, otherwise a per-call
-    :class:`~repro.exec.backends.local.LocalPoolBackend` with ``jobs``
-    workers (the historical semantics, pool spawned and torn down here).
+    The one funnel every dispatch goes through: the active backend when one
+    is installed and every task pickles, otherwise an in-process loop (raw
+    exceptions, no pickling constraint).
     """
     backend = active_backend()
-    if backend is not None:
-        return backend.submit(tasks)
-    with LocalPoolBackend(jobs=jobs) as pool_backend:
-        return pool_backend.submit(tasks)
-
-
-def _invoke_trial(trial_fn: Callable[[int, int], Mapping[str, Any]], seed: int, index: int) -> Any:
-    """Worker-side shim: call the trial function for one ``(seed, index)`` task.
-
-    Must stay a module-level function so it can be pickled by reference.  The
-    raw return value travels back to the parent, which performs the
-    mapping-type validation (keeping error messages identical to the serial
-    path).
-    """
-    return trial_fn(seed, index)
-
-
-def run_trials_in_pool(
-    trial_fn: Callable[[int, int], Mapping[str, Any]],
-    seeds: Sequence[int],
-    jobs: int,
-    name: Optional[str] = None,
-) -> List[Any]:
-    """Run ``trial_fn(seed, index)`` for every seed across worker processes.
-
-    Results are returned in index order regardless of which worker finished
-    first.  A failure inside a worker surfaces as a labelled
-    :class:`~repro.errors.ExperimentError` naming the trial index and seed.
-
-    Parameters
-    ----------
-    trial_fn:
-        Picklable trial callable; probe with :func:`picklability_error` first.
-    seeds:
-        Pre-derived per-trial seeds; trial ``i`` receives ``seeds[i]``.
-    jobs:
-        Worker count of the per-call pool (ignored when a run-level backend
-        is installed — the backend owns its own worker fleet).
-    name:
-        Experiment name attached to the failure context.
-    """
-    tasks = [
-        Task(
-            fn=_invoke_trial,
-            args=(trial_fn, int(seed), index),
-            context=(
-                (("experiment", name),) if name else ()
-            ) + (("trial", index), ("seed", int(seed))),
-        )
-        for index, seed in enumerate(seeds)
-    ]
-    return submit_tasks(tasks, jobs)
-
-
-# ----------------------------------------------------------------------
-# Point-level parallelism (shared pool across sweep grid points)
-# ----------------------------------------------------------------------
-
-
-def resolve_point_jobs(point_jobs: Optional[int], num_points: int) -> int:
-    """Map a ``point_jobs`` option onto an effective worker count.
-
-    Follows the ``--jobs`` convention: ``None`` or ``1`` → in-process,
-    ``0`` → one worker per CPU, ``k > 1`` → ``k`` workers; the result is
-    additionally capped at ``num_points`` (idle workers are pure overhead).
-    Negative values raise :class:`~repro.errors.ExperimentError` so callers
-    surface the same error no matter which sweep dispatcher they use.
-    """
-    if point_jobs is None:
-        return 1
-    if point_jobs < 0:
-        raise ExperimentError(
-            f"point_jobs must be non-negative (0 = one worker per CPU), got {point_jobs}"
-        )
-    jobs = default_jobs() if point_jobs == 0 else point_jobs
-    return max(1, min(jobs, num_points))
-
-
-def _invoke_point(trial_fn: Callable[[int, int], Mapping[str, Any]], seeds: Sequence[int]) -> List[Any]:
-    """Worker-side shim: run all trials of one grid point, in trial order.
-
-    The seeds were derived in the parent; the worker only loops the trial
-    function over them, so the raw measurement list it sends back is
-    bit-identical to what a serial loop over the same point would produce.
-    """
-    return [trial_fn(int(seed), index) for index, seed in enumerate(seeds)]
-
-
-def run_point_trials_in_pool(
-    point_tasks: Sequence[Tuple[Callable[[int, int], Mapping[str, Any]], Sequence[int]]],
-    jobs: int,
-    names: Optional[Sequence[str]] = None,
-) -> List[List[Any]]:
-    """Run every grid point's trial loop across workers, one point per task.
-
-    Each element of ``point_tasks`` is a ``(trial_fn, seeds)`` pair for one
-    sweep point; the per-point raw measurement lists come back in point order
-    regardless of which worker finished first.  ``names`` (the canonical
-    sweep point names) label the failure context of each point.
-    """
-    tasks = [
-        Task(
-            fn=_invoke_point,
-            args=(trial_fn, tuple(int(seed) for seed in seeds)),
-            context=(
-                ("point", names[index] if names else index),
-                ("first_seed", int(seeds[0]) if len(seeds) else None),
-            ),
-        )
-        for index, (trial_fn, seeds) in enumerate(point_tasks)
-    ]
-    return submit_tasks(tasks, jobs)
-
-
-def run_tasks_in_pool(
-    tasks: Sequence[Tuple[Callable[..., Any], Mapping[str, Any]]],
-    jobs: int,
-) -> List[Any]:
-    """Run pre-resolved ``(fn, kwargs)`` tasks across workers, in task order.
-
-    Used by :func:`repro.exec.batching.run_sweep_batched` to execute one
-    whole-point batch simulation per task; every kwarg (including the
-    per-point batch seed) was resolved in the parent, so the results are
-    bit-identical to an in-process loop over the same tasks.  Failure
-    context is read off the kwargs (the batch tasks carry ``name`` and
-    ``base_seed``).
-    """
-    built = [
-        Task(fn=fn, kwargs=dict(kwargs), context=_kwargs_context(index, kwargs))
-        for index, (fn, kwargs) in enumerate(tasks)
-    ]
-    return submit_tasks(built, jobs)
+    if backend is None or picklability_error(list(tasks)) is not None:
+        return [run_task(task) for task in tasks]
+    return backend.submit(tasks)
 
 
 def _kwargs_context(index: int, kwargs: Mapping[str, Any]) -> Tuple[Tuple[str, Any], ...]:
@@ -228,27 +79,17 @@ def _kwargs_context(index: int, kwargs: Mapping[str, Any]) -> Tuple[Tuple[str, A
     return tuple(context)
 
 
-def run_point_tasks(
-    tasks: Sequence[Tuple[Callable[..., Any], Dict[str, Any]]],
-    point_jobs: Optional[int],
-    runner: Optional[Any] = None,
-) -> List[Any]:
-    """Run per-cell ``(fn, kwargs)`` tasks in cell order, pooled or in-process.
+def run_point_tasks(tasks: Sequence[Tuple[Callable[..., Any], Mapping[str, Any]]]) -> List[Any]:
+    """Run pre-resolved ``(fn, kwargs)`` cell tasks, results in cell order.
 
-    The one dispatch rule shared by the cell-structured experiment drivers
-    (E4, E7, E9, E11, E12): resolve ``point_jobs`` with
-    :func:`resolve_point_jobs`; when a pool is warranted — or a run-level
-    backend is installed (so ``--backend remote`` shards the cells with zero
-    driver changes) — execute the tasks on it (every kwarg, including
-    per-cell seeds, was resolved in the parent, so results are bit-identical
-    to the in-process loop); otherwise run in-process, injecting
-    ``runner=runner`` into each task when a serial trial runner was given
-    (batch-path callers pass ``runner=None``).
+    Every kwarg — including per-cell seeds — was resolved in the parent, so
+    the results are bit-identical to an in-process loop over the same
+    tasks.  Failure context is read off the kwargs (``name``, ``seed``,
+    ``base_seed``).
     """
-    jobs = resolve_point_jobs(point_jobs, len(tasks))
-    if jobs > 1 or active_backend() is not None:
-        return run_tasks_in_pool(tasks, jobs)
-    if runner is not None:
-        for _, kwargs in tasks:
-            kwargs["runner"] = runner
-    return [fn(**kwargs) for fn, kwargs in tasks]
+    return submit_tasks(
+        [
+            Task(fn=fn, kwargs=dict(kwargs), context=_kwargs_context(index, kwargs))
+            for index, (fn, kwargs) in enumerate(tasks)
+        ]
+    )

@@ -44,20 +44,18 @@ def run(
     r0: float = 8.0,
     monte_carlo_reps: int = 40_000,
     base_seed: int = 1010,
-    batch: bool = False,
     config: Optional[Union[ExecutionConfig, ExecutionPlan]] = None,
 ) -> ExperimentReport:
     """Run the E10 sampling experiment and return its report.
 
-    ``config`` carries the execution strategy (the ``batch`` keyword is the
-    deprecation-shimmed legacy path).  ``batch=True`` draws the Monte-Carlo
-    sample counts for *all* deltas as a single
+    ``config`` carries the execution strategy.  ``batch=True`` draws the
+    Monte-Carlo sample counts for *all* deltas as a single
     ``(len(deltas), monte_carlo_reps)`` binomial grid instead of one vector
     per delta — deterministic per ``base_seed`` and statistically equivalent
     to the per-delta loop, but drawn from a single batch-level stream (the
     same trade the ``--batch`` simulators make).
     """
-    plan = resolve_run_options("E10", config=config, batch=batch)
+    plan = resolve_run_options("E10", config=config)
     batch = plan.batch
     base_seed = plan.base_seed if plan.base_seed is not None else base_seed
     deltas = list(deltas)  # iterated twice below; a one-shot iterable must not go empty

@@ -17,9 +17,9 @@ The driver measures both reference points in the simulator:
 
 With ``batch=True`` each scheme simulates all of its trials at once through
 the batched baseline rules (:func:`repro.exec.batching.run_baseline_batch`
-with the ``direct-source-reference`` and ``silent-wait`` step rules);
-``point_jobs`` additionally spreads the two independent scheme cells over
-worker processes on either path.
+with the ``direct-source-reference`` and ``silent-wait`` step rules).  On
+either path the two independent scheme cells are tasks on the run's
+execution backend.
 
 Reporting convention (never-converged trials)
 ---------------------------------------------
@@ -36,7 +36,7 @@ counted at their round budget.  The same convention applies in
 from __future__ import annotations
 
 import functools
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..analysis.experiments import run_trials
 from ..api.config import ExecutionConfig, ExecutionPlan, resolve_run_options
@@ -45,9 +45,6 @@ from ..protocols.direct_source import DirectSourceReference
 from ..protocols.silent_wait import SilentWaitBroadcast, default_decision_threshold
 from ..substrate.engine import SimulationEngine
 from .report import ExperimentReport
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..exec.runner import TrialRunner
 
 __all__ = ["run"]
 
@@ -134,26 +131,19 @@ def run(
     epsilon: float = 0.25,
     trials: int = 3,
     base_seed: int = 1111,
-    runner: Optional["TrialRunner"] = None,
-    batch: bool = False,
-    point_jobs: Optional[int] = None,
     config: Optional[Union[ExecutionConfig, ExecutionPlan]] = None,
 ) -> ExperimentReport:
     """Run the E11 reference measurements and return its report.
 
-    ``config`` carries the execution strategy (the keywords below are the
-    deprecation-shimmed legacy path).  ``runner`` selects the trial-execution
-    strategy for the serial path; ``batch=True`` instead simulates all trials
-    of each scheme at once via the batched baseline rules; ``point_jobs``
-    spreads the two independent scheme cells over worker processes on either
-    path, with results assembled in scheme order.
+    ``config`` carries the execution strategy.  Each of the two scheme cells
+    is one task on the run's execution backend, results assembled in scheme
+    order; ``batch=True`` simulates all trials of a scheme at once via the
+    batched baseline rules.
     """
     from ..exec import pool
 
-    plan = resolve_run_options(
-        "E11", config=config, runner=runner, batch=batch, point_jobs=point_jobs
-    )
-    runner, batch, point_jobs = plan.runner, plan.batch, plan.point_jobs
+    plan = resolve_run_options("E11", config=config)
+    batch = plan.batch
     trials = plan.trials if plan.trials is not None else trials
     base_seed = plan.base_seed if plan.base_seed is not None else base_seed
     report = ExperimentReport(
@@ -220,8 +210,6 @@ def run(
 
     results = pool.run_point_tasks(
         [(fn, kwargs) for _, fn, kwargs in tasks],
-        point_jobs,
-        runner=None if batch else runner,
     )
     direct, silent = results
 

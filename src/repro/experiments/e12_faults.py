@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.experiments import ExperimentResult, run_trials
 from ..api.config import ExecutionConfig, ExecutionPlan, resolve_run_options
@@ -48,9 +48,6 @@ from ..substrate.engine import SimulationEngine
 from ..substrate.faults import ByzantineSenders, CrashStop, FaultModel
 from ..substrate.rng import spawn_generator
 from .report import ExperimentReport
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..exec.runner import TrialRunner
 
 __all__ = ["run", "paper_fault_model", "comparator_fault_model"]
 
@@ -284,9 +281,6 @@ def run(
     consensus_eps: float = 0.05,
     trials: int = 4,
     base_seed: int = 1212,
-    runner: Optional["TrialRunner"] = None,
-    batch: bool = False,
-    point_jobs: Optional[int] = None,
     config: Optional[Union[ExecutionConfig, ExecutionPlan]] = None,
 ) -> ExperimentReport:
     """Run the E12 fault sweep and return its report.
@@ -298,17 +292,15 @@ def run(
     injected ``f``).  ``batch=True`` simulates all trials of each
     (fraction, protocol) cell at once via
     :func:`repro.exec.fault_batching.run_faulty_broadcast_batch` /
-    :func:`repro.exec.fault_batching.run_consensus_comparator_batch`;
-    ``point_jobs`` spreads the independent cells over worker processes on
-    either path, results assembled in row order.
+    :func:`repro.exec.fault_batching.run_consensus_comparator_batch`.  Each
+    cell is one task on the run's execution backend, results assembled in
+    row order.
     """
     from ..exec import pool
     from ..exec.batching import batch_to_experiment_result
 
-    plan = resolve_run_options(
-        "E12", config=config, runner=runner, batch=batch, point_jobs=point_jobs
-    )
-    runner, batch, point_jobs = plan.runner, plan.batch, plan.point_jobs
+    plan = resolve_run_options("E12", config=config)
+    batch = plan.batch
     trials = plan.trials if plan.trials is not None else trials
     base_seed = plan.base_seed if plan.base_seed is not None else base_seed
 
@@ -343,8 +335,6 @@ def run(
 
     raw_results = pool.run_point_tasks(
         [(fn, kwargs) for _, _, fn, kwargs in tasks],
-        point_jobs,
-        runner=None if batch else runner,
     )
 
     for (fraction, protocol, _, _), raw in zip(tasks, raw_results):

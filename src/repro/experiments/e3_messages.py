@@ -12,16 +12,13 @@ activation.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from ..analysis.sweeps import parameter_grid, run_sweep
 from ..api.config import ExecutionConfig, ExecutionPlan, resolve_run_options
 from ..core.broadcast import solve_noisy_broadcast
 from ..core.theory import broadcast_message_bound
 from .report import ExperimentReport
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..exec.runner import TrialRunner
 
 __all__ = ["run"]
 
@@ -45,21 +42,15 @@ def run(
     epsilons: Sequence[float] = DEFAULT_EPSILONS,
     trials: int = 3,
     base_seed: int = 303,
-    runner: Optional["TrialRunner"] = None,
-    batch: bool = False,
-    point_jobs: Optional[int] = None,
     config: Optional[Union[ExecutionConfig, ExecutionPlan]] = None,
 ) -> ExperimentReport:
     """Run the E3 sweep and return its report.
 
-    ``config`` and the deprecation-shimmed ``runner`` / ``batch`` /
-    ``point_jobs`` keywords select the execution strategy exactly as in
+    ``config`` selects the execution strategy exactly as in
     :func:`repro.experiments.e1_rounds_vs_n.run`.
     """
-    plan = resolve_run_options(
-        "E3", config=config, runner=runner, batch=batch, point_jobs=point_jobs
-    )
-    runner, batch, point_jobs = plan.runner, plan.batch, plan.point_jobs
+    plan = resolve_run_options("E3", config=config)
+    batch = plan.batch
     trials = plan.trials if plan.trials is not None else trials
     base_seed = plan.base_seed if plan.base_seed is not None else base_seed
     if batch:
@@ -70,7 +61,6 @@ def run(
             points=parameter_grid(n=list(sizes), epsilon=list(epsilons)),
             trials_per_point=trials,
             base_seed=base_seed,
-            point_jobs=point_jobs,
         )
     else:
         sweep = run_sweep(
@@ -79,8 +69,6 @@ def run(
             trial_fn=_broadcast_trial,
             trials_per_point=trials,
             base_seed=base_seed,
-            runner=runner,
-            point_jobs=point_jobs,
         )
 
     report = ExperimentReport(

@@ -18,7 +18,7 @@ off :class:`~repro.core.stage1.StageOnePhaseSummary`.
 from __future__ import annotations
 
 import functools
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.experiments import run_trials
 from ..api.config import ExecutionConfig, ExecutionPlan, resolve_run_options
@@ -26,9 +26,6 @@ from ..core.parameters import ProtocolParameters, StageOneParameters
 from ..core.stage1 import execute_stage_one
 from ..substrate.engine import SimulationEngine
 from .report import ExperimentReport
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..exec.runner import TrialRunner
 
 __all__ = ["run"]
 
@@ -108,26 +105,19 @@ def run(
     epsilons: Sequence[float] = DEFAULT_EPSILONS,
     trials: int = 30,
     base_seed: int = 404,
-    runner: Optional["TrialRunner"] = None,
-    batch: bool = False,
-    point_jobs: Optional[int] = None,
     config: Optional[Union[ExecutionConfig, ExecutionPlan]] = None,
 ) -> ExperimentReport:
     """Run the E4 Monte-Carlo and return its report.
 
-    ``config`` carries the execution strategy (the keywords below are the
-    deprecation-shimmed legacy path).  ``runner`` selects the trial-execution
-    strategy for the serial path; ``batch=True`` instead simulates all trials
-    of each epsilon at once via the instrumented Stage-I batch kernel;
-    ``point_jobs`` spreads the independent epsilon cells over worker
-    processes on either path, with results assembled in cell order.
+    ``config`` carries the execution strategy.  Each epsilon cell is one
+    task on the run's execution backend, results assembled in cell order;
+    ``batch=True`` simulates all trials of a cell at once via the
+    instrumented Stage-I batch kernel.
     """
     from ..exec import pool
 
-    plan = resolve_run_options(
-        "E4", config=config, runner=runner, batch=batch, point_jobs=point_jobs
-    )
-    runner, batch, point_jobs = plan.runner, plan.batch, plan.point_jobs
+    plan = resolve_run_options("E4", config=config)
+    batch = plan.batch
     trials = plan.trials if plan.trials is not None else trials
     base_seed = plan.base_seed if plan.base_seed is not None else base_seed
     report = ExperimentReport(
@@ -165,8 +155,6 @@ def run(
 
     results = pool.run_point_tasks(
         [(fn, kwargs) for _, _, fn, kwargs in tasks],
-        point_jobs,
-        runner=None if batch else runner,
     )
 
     for (epsilon, parameters, _, _), result in zip(tasks, results):

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING, Any, Optional, Union
+from typing import Any, Optional, Union
 
 from ..analysis.experiments import run_trials
 from ..api.config import ExecutionConfig, ExecutionPlan, resolve_run_options
@@ -39,9 +39,6 @@ from ..core.parameters import ProtocolParameters, StageOneParameters
 from ..core.stage1 import execute_stage_one
 from ..substrate.engine import SimulationEngine
 from .report import ExperimentReport
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..exec.runner import TrialRunner
 
 __all__ = ["run"]
 
@@ -99,18 +96,16 @@ def run(
     beta_override: int = 8,
     trials: int = 5,
     base_seed: int = 505,
-    runner: Optional["TrialRunner"] = None,
-    batch: bool = False,
     config: Optional[Union[ExecutionConfig, ExecutionPlan]] = None,
 ) -> ExperimentReport:
     """Run the E5 per-phase measurement and return its report.
 
-    ``config`` carries the execution strategy (the keywords below are the
-    deprecation-shimmed legacy path); ``batch=True`` simulates all trials at
-    once via the instrumented Stage-I batch kernel.
+    ``config`` carries the execution strategy: the trials are tasks on the
+    run's execution backend, or, with ``batch=True``, one in-process
+    simulation of all trials at once via the instrumented Stage-I batch kernel.
     """
-    plan = resolve_run_options("E5", config=config, runner=runner, batch=batch)
-    runner, batch = plan.runner, plan.batch
+    plan = resolve_run_options("E5", config=config)
+    batch = plan.batch
     trials = plan.trials if plan.trials is not None else trials
     base_seed = plan.base_seed if plan.base_seed is not None else base_seed
     parameters = ProtocolParameters.calibrated(n, epsilon, s0=1.0, beta_override=beta_override)
@@ -128,7 +123,6 @@ def run(
             ),
             num_trials=trials,
             base_seed=base_seed,
-            runner=runner,
         )
 
     report = ExperimentReport(

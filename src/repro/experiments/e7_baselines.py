@@ -29,7 +29,7 @@ reached at all.  The same convention applies in
 from __future__ import annotations
 
 import functools
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.experiments import ExperimentResult, run_trials
 from ..api.config import ExecutionConfig, ExecutionPlan, resolve_run_options
@@ -40,9 +40,6 @@ from ..protocols.naive_forward import ImmediateForwardingBroadcast
 from ..protocols.noisy_voter import NoisyVoterBroadcast
 from ..substrate.engine import SimulationEngine
 from .report import ExperimentReport
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..exec.runner import TrialRunner
 
 __all__ = ["run"]
 
@@ -236,23 +233,17 @@ def run(
     trials: int = 4,
     voter_rounds: int = 600,
     base_seed: int = 707,
-    runner: Optional["TrialRunner"] = None,
-    batch: bool = False,
-    point_jobs: Optional[int] = None,
     config: Optional[Union[ExecutionConfig, ExecutionPlan]] = None,
 ) -> ExperimentReport:
     """Run the E7 protocol comparison and return its report.
 
-    ``config`` carries the execution strategy (the keywords below are the
-    deprecation-shimmed legacy path).
-    ``runner`` selects the trial-execution strategy for the serial path;
-    ``batch=True`` instead simulates all trials of each (epsilon, protocol)
-    cell at once via :func:`repro.exec.batching.run_broadcast_batch` (the
-    paper's protocol) and :func:`repro.exec.batching.run_baseline_batch`
-    (the Section 1.6 comparators).  ``point_jobs`` spreads the independent
-    (epsilon, protocol) cells over worker processes on either path, taking
-    precedence over ``runner``; results are assembled in row order so they
-    are identical to the in-process run.
+    ``config`` carries the execution strategy.  Each (epsilon, protocol)
+    cell is one task on the run's execution backend, results assembled in
+    row order so they are identical to the in-process run; ``batch=True``
+    simulates all trials of a cell at once via
+    :func:`repro.exec.batching.run_broadcast_batch` (the paper's protocol)
+    and :func:`repro.exec.batching.run_baseline_batch` (the Section 1.6
+    comparators).
 
     ``mean_rounds`` follows the never-converged convention of the module
     docstring: budget-exhausted trials are excluded and reported through the
@@ -261,10 +252,8 @@ def run(
     from ..exec import pool
     from ..exec.batching import batch_to_experiment_result
 
-    plan = resolve_run_options(
-        "E7", config=config, runner=runner, batch=batch, point_jobs=point_jobs
-    )
-    runner, batch, point_jobs = plan.runner, plan.batch, plan.point_jobs
+    plan = resolve_run_options("E7", config=config)
+    batch = plan.batch
     trials = plan.trials if plan.trials is not None else trials
     base_seed = plan.base_seed if plan.base_seed is not None else base_seed
 
@@ -290,8 +279,6 @@ def run(
 
     raw_results = pool.run_point_tasks(
         [(fn, kwargs) for _, _, fn, kwargs in tasks],
-        point_jobs,
-        runner=None if batch else runner,
     )
 
     results: List[ExperimentResult] = []

@@ -15,16 +15,13 @@ transition around the ``sqrt(log n / |A|)`` curve.
 from __future__ import annotations
 
 import functools
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from ..analysis.sweeps import parameter_grid, run_sweep
 from ..api.config import ExecutionConfig, ExecutionPlan, resolve_run_options
 from ..core.majority import solve_noisy_majority_consensus
 from ..core.theory import majority_consensus_min_bias, majority_consensus_min_set_size
 from .report import ExperimentReport
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..exec.runner import TrialRunner
 
 __all__ = ["run"]
 
@@ -55,26 +52,16 @@ def run(
     biases: Sequence[float] = DEFAULT_BIASES,
     trials: int = 5,
     base_seed: int = 808,
-    runner: Optional["TrialRunner"] = None,
-    batch: bool = False,
-    point_jobs: Optional[int] = None,
     config: Optional[Union[ExecutionConfig, ExecutionPlan]] = None,
 ) -> ExperimentReport:
     """Run the E8 feasibility sweep and return its report.
 
-    ``config`` carries the execution strategy (the keywords below are the
-    deprecation-shimmed legacy path).  ``runner`` selects the
-    trial-execution strategy (serial by default; process-parallel when a
-    :class:`~repro.exec.runner.ParallelTrialRunner` is passed);
-    ``batch=True`` instead simulates all trials of each grid point
-    simultaneously via :func:`repro.exec.batching.run_majority_batch`.
-    ``point_jobs`` spreads independent grid points over worker processes on
-    either path (taking precedence over ``runner`` where both are given).
+    ``config`` carries the execution strategy.  Each grid point is one task
+    on the run's execution backend; ``batch=True`` simulates all trials of
+    a point simultaneously via :func:`repro.exec.batching.run_majority_batch`.
     """
-    plan = resolve_run_options(
-        "E8", config=config, runner=runner, batch=batch, point_jobs=point_jobs
-    )
-    runner, batch, point_jobs = plan.runner, plan.batch, plan.point_jobs
+    plan = resolve_run_options("E8", config=config)
+    batch = plan.batch
     trials = plan.trials if plan.trials is not None else trials
     base_seed = plan.base_seed if plan.base_seed is not None else base_seed
     if batch:
@@ -87,7 +74,6 @@ def run(
             base_seed=base_seed,
             defaults={"n": n, "epsilon": epsilon},
             shape="majority",
-            point_jobs=point_jobs,
         )
     else:
         sweep = run_sweep(
@@ -96,8 +82,6 @@ def run(
             trial_fn=functools.partial(_majority_trial, n=n, epsilon=epsilon),
             trials_per_point=trials,
             base_seed=base_seed,
-            runner=runner,
-            point_jobs=point_jobs,
         )
 
     report = ExperimentReport(

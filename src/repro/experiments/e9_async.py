@@ -22,15 +22,15 @@ through the windowed batch executors
 (:func:`repro.exec.stage_batching.run_bounded_skew_batch` /
 :func:`repro.exec.stage_batching.run_clock_free_batch`), each replicate
 carrying its own clock offsets, guard and dilated schedule exactly as the
-serial executors do.  ``point_jobs`` additionally spreads the independent
-variant cells over worker processes on either path.
+serial executors do.  On either path the independent variant cells are
+tasks on the run's execution backend.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.experiments import run_trials
 from ..api.config import ExecutionConfig, ExecutionPlan, resolve_run_options
@@ -38,9 +38,6 @@ from ..core.broadcast import solve_noisy_broadcast
 from ..core.parameters import ProtocolParameters
 from ..core.synchronizer import default_guard, run_clock_free_broadcast, run_with_bounded_skew
 from .report import ExperimentReport
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..exec.runner import TrialRunner
 
 __all__ = ["run"]
 
@@ -203,26 +200,19 @@ def run(
     skews: Sequence[int] = DEFAULT_SKEWS,
     trials: int = 3,
     base_seed: int = 909,
-    runner: Optional["TrialRunner"] = None,
-    batch: bool = False,
-    point_jobs: Optional[int] = None,
     config: Optional[Union[ExecutionConfig, ExecutionPlan]] = None,
 ) -> ExperimentReport:
     """Run the E9 comparison and return its report.
 
-    ``config`` carries the execution strategy (the keywords below are the
-    deprecation-shimmed legacy path).  ``runner`` selects the trial-execution
-    strategy for the serial path; ``batch=True`` instead simulates all trials
-    of every variant at once on ``(R, n)`` grids; ``point_jobs`` spreads the
-    independent variant cells over worker processes on either path, with
-    results assembled in variant order.
+    ``config`` carries the execution strategy.  Each variant cell is one
+    task on the run's execution backend, results assembled in variant
+    order; ``batch=True`` simulates all trials of a variant at once on
+    ``(R, n)`` grids.
     """
     from ..exec import pool
 
-    plan = resolve_run_options(
-        "E9", config=config, runner=runner, batch=batch, point_jobs=point_jobs
-    )
-    runner, batch, point_jobs = plan.runner, plan.batch, plan.point_jobs
+    plan = resolve_run_options("E9", config=config)
+    batch = plan.batch
     trials = plan.trials if plan.trials is not None else trials
     base_seed = plan.base_seed if plan.base_seed is not None else base_seed
     parameters = ProtocolParameters.calibrated(n, epsilon)
@@ -241,8 +231,6 @@ def run(
     tasks = _variant_tasks(n, epsilon, skews, trials, base_seed, parameters, batch)
     results = pool.run_point_tasks(
         [(fn, kwargs) for _, fn, kwargs in tasks],
-        point_jobs,
-        runner=None if batch else runner,
     )
 
     sync = results[0]

@@ -117,7 +117,7 @@ class PhasedApproximateConsensus:
 
     Construct once (the instance is immutable configuration) and call
     :meth:`run` per trial with fresh generators; nothing is shared between
-    runs, so the class is trivially picklable for the process-pool runner.
+    runs, so the class is trivially picklable for a process-pool backend.
     """
 
     name = "phased-approximate-consensus"

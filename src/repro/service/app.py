@@ -369,7 +369,7 @@ class ExperimentService:
                     "title": spec.title,
                     "claim": spec.claim,
                     "supports_batch": spec.supports_batch,
-                    "supports_jobs": spec.supports_runner or spec.supports_point_jobs,
+                    "supports_jobs": spec.supports_jobs,
                     "parameters": [
                         {
                             "name": parameter.name,

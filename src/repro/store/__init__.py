@@ -1,9 +1,7 @@
 """repro.store — persistence and the content-addressed run store.
 
-This package is the persistence layer of the reproduction, carved out of
-the old ``repro.analysis.resultsio`` module (which remains as a deprecated
-re-export shim) and extended into a content-addressed, cache-before-compute
-run store:
+This package is the persistence layer of the reproduction, extended into a
+content-addressed, cache-before-compute run store:
 
 * :mod:`repro.store.serialization` — the strict-JSON codecs
   (:func:`to_jsonable`, :func:`encode_nonfinite` / :func:`decode_nonfinite`)

@@ -18,11 +18,10 @@ module defines exactly what "same semantic inputs" means:
   :func:`repro.api.run_experiment` before fingerprinting, so they are
   covered through the parameter payload.
 
-Everything else on the plan — ``jobs``, ``point_jobs``, the runner class,
-``backend`` and its options — is **excluded by design**: the determinism
-contract proves results are bit-identical across serial, pooled and remote
-execution, so a run computed on one backend must be a cache hit for every
-other.
+Everything else on the plan — ``jobs``, ``backend`` and its options — is
+**excluded by design**: the determinism contract proves results are
+bit-identical across in-process, pooled and remote execution, so a run
+computed on one backend must be a cache hit for every other.
 
 Canonicalisation removes spelling differences before hashing: dict keys are
 sorted (insertion order never matters), tuples and numpy arrays become
@@ -55,8 +54,6 @@ FINGERPRINT_FIELDS = ("spec_id", "version", "parameters", "execution.batch")
 #: result-irrelevant, so changing them must *not* change the fingerprint.
 EXCLUDED_PLAN_FIELDS = (
     "jobs",
-    "point_jobs",
-    "runner",
     "backend",
     "backend_options",
     "notes",

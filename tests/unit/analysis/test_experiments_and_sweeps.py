@@ -32,6 +32,15 @@ def _seed_echo_trial(point, seed, index):
     return {"seed": seed, "index": index}
 
 
+
+def _on_pool(fn, *args, **kwargs):
+    """Run ``fn`` with a two-worker local pool installed; return (result, tasks)."""
+    from repro.exec.backends import LocalPoolBackend, use_backend
+
+    with LocalPoolBackend(jobs=2) as backend, use_backend(backend):
+        result = fn(*args, **kwargs)
+    return result, backend.tasks_submitted
+
 class TestRunTrials:
     def test_collects_all_trials_with_distinct_seeds(self):
         seen_seeds = []
@@ -114,47 +123,42 @@ class TestSweeps:
         with pytest.raises(ExperimentError, match="has no parameter 'missing'"):
             sweep.rates("missing", "ok")
 
-    def test_run_sweep_point_jobs_bit_identical(self):
-        """The shared-pool point-parallel mode returns the same sweep as serial."""
+    def test_run_sweep_on_a_pool_bit_identical(self):
+        """One pool task per point returns the same sweep as in-process."""
         serial = run_sweep(
             "demo", [{"x": 1}, {"x": 5}], _double_trial, trials_per_point=3, base_seed=4
         )
-        pooled = run_sweep(
-            "demo",
-            [{"x": 1}, {"x": 5}],
-            _double_trial,
-            trials_per_point=3,
-            base_seed=4,
-            point_jobs=2,
+        pooled, tasks = _on_pool(
+            run_sweep, "demo", [{"x": 1}, {"x": 5}], _double_trial, trials_per_point=3, base_seed=4
         )
+        assert tasks == 2
         assert [r.to_dict() for r in pooled.results] == [r.to_dict() for r in serial.results]
 
-    def test_run_sweep_point_jobs_falls_back_for_unpicklable_trials(self):
+    def test_run_sweep_on_a_pool_runs_unpicklable_trials_in_process(self):
         """A closure cannot cross a process boundary; the sweep still runs."""
         offset = 3.0
-        sweep = run_sweep(
-            "demo",
-            [{"x": 1}],
-            lambda p, s, i: {"y": p["x"] + offset},
+        sweep, tasks = _on_pool(
+            run_sweep, "demo", [{"x": 1}], lambda p, s, i: {"y": p["x"] + offset},
             trials_per_point=2,
-            point_jobs=2,
         )
+        assert tasks == 0
         assert sweep.results[0].mean("y") == pytest.approx(4.0)
 
-    def test_run_sweep_point_jobs_falls_back_for_unpicklable_point_values(self):
+    def test_run_sweep_on_a_pool_runs_unpicklable_point_values_in_process(self):
         """The point parameters cross the process boundary too: an
-        unpicklable point value triggers the same graceful serial fallback
-        as an unpicklable trial function."""
+        unpicklable point value falls back to in-process execution just like
+        an unpicklable trial function."""
         import threading
 
         points = [{"x": 1, "tag": threading.Lock()}, {"x": 5, "tag": None}]
-        sweep = run_sweep("demo", points, _double_trial, trials_per_point=2, point_jobs=2)
+        sweep, tasks = _on_pool(run_sweep, "demo", points, _double_trial, trials_per_point=2)
+        assert tasks == 0
         _, doubles = sweep.series("x", "double")
         assert doubles == [2.0, 10.0]
 
-    def test_run_sweep_negative_point_jobs_rejected(self):
-        with pytest.raises(ExperimentError):
-            run_sweep("demo", [{"x": 1}], _double_trial, trials_per_point=1, point_jobs=-2)
+    def test_run_sweep_rejects_zero_trials_per_point(self):
+        with pytest.raises(ExperimentError, match="at least 1"):
+            run_sweep("demo", [{"x": 1}], _double_trial, trials_per_point=0)
 
     def test_sweep_point_label(self):
         point = SweepPoint.from_mapping({"n": 100, "eps": 0.1})
@@ -262,7 +266,7 @@ class TestSweepPointNames:
         assert first_seeds != second_seeds
         assert sweep.results[0].values("seed") != sweep.results[1].values("seed")
 
-    def test_serial_and_point_jobs_agree_on_duplicates(self):
+    def test_in_process_and_pool_agree_on_duplicates(self):
         kwargs = dict(
             name="S",
             points=[{"x": 1}, {"x": 1}],
@@ -271,7 +275,7 @@ class TestSweepPointNames:
             base_seed=5,
         )
         serial = run_sweep(**kwargs)
-        pooled = run_sweep(point_jobs=2, **kwargs)
+        pooled, _ = _on_pool(run_sweep, **kwargs)
         assert [r.to_dict() for r in serial.results] == [r.to_dict() for r in pooled.results]
 
     def test_batched_sweep_agrees_on_duplicate_seed_derivation(self):

@@ -8,30 +8,33 @@ import pytest
 
 from repro.api import ExecutionConfig, ExecutionPlan, get_spec, resolve_run_options
 from repro.errors import ExperimentError
-from repro.exec import ParallelTrialRunner, SerialTrialRunner
+from repro.exec import LocalPoolBackend
+from repro.exec.backends import default_jobs
 
 
 class TestResolution:
     def test_default_config_is_serial(self):
         plan = ExecutionConfig().resolve("E1")
-        assert plan.runner is None and not plan.batch and plan.point_jobs is None
+        assert plan.create_backend() is None and not plan.batch
         assert plan.spec is get_spec("E1")
         assert plan.notes == ()
 
-    def test_jobs_map_to_runners_like_the_cli(self):
-        assert isinstance(ExecutionConfig(jobs=1).resolve("E1").runner, SerialTrialRunner)
-        parallel = ExecutionConfig(jobs=4).resolve("E1").runner
-        assert isinstance(parallel, ParallelTrialRunner) and parallel.jobs == 4
-        all_cpus = ExecutionConfig(jobs=0).resolve("E1").runner
-        assert isinstance(all_cpus, ParallelTrialRunner) and all_cpus.jobs is None
+    def test_jobs_map_to_a_local_pool_like_the_cli(self):
+        assert ExecutionConfig(jobs=1).resolve("E1").create_backend() is None
+        parallel = ExecutionConfig(jobs=4).resolve("E1").create_backend()
+        assert isinstance(parallel, LocalPoolBackend) and parallel.jobs == 4
+        all_cpus = ExecutionConfig(jobs=0).resolve("E1").create_backend()
+        assert isinstance(all_cpus, LocalPoolBackend)
+        assert all_cpus.effective_jobs == default_jobs()
 
     def test_negative_jobs_rejected(self):
         with pytest.raises(ExperimentError, match="non-negative"):
             ExecutionConfig(jobs=-2).resolve("E1")
 
-    def test_batch_with_jobs_becomes_point_parallelism(self):
+    def test_batch_with_jobs_keeps_the_local_pool(self):
         plan = ExecutionConfig(jobs=3, batch=True).resolve("E8")
-        assert plan.batch and plan.point_jobs == 3 and plan.runner is None
+        backend = plan.create_backend()
+        assert plan.batch and isinstance(backend, LocalPoolBackend) and backend.jobs == 3
 
     def test_batch_on_unsupported_experiment_names_the_batchable_ones(self):
         # Every registered experiment is batchable since the stage kernels
@@ -42,13 +45,20 @@ class TestResolution:
 
     def test_jobs_on_batch_only_experiment_yield_a_note_not_parallelism(self):
         plan = ExecutionConfig(jobs=2, batch=True).resolve("E10")
-        assert plan.point_jobs is None and plan.runner is None
+        assert plan.create_backend() is None
         assert any("--jobs has no effect" in note for note in plan.notes)
 
-    def test_jobs_on_runnerless_experiment_yield_a_note(self):
+    def test_jobs_on_an_experiment_without_jobs_support_yield_a_note(self):
         plan = ExecutionConfig(jobs=2).resolve("E10")
-        assert plan.runner is None
+        assert plan.create_backend() is None
         assert any("--jobs has no effect" in note for note in plan.notes)
+
+    def test_jobs_on_a_batch_stage_experiment_carry_no_resolution_note(self):
+        # E5/E6 --batch dispatch nothing, but whether a run sends its backend
+        # tasks is only known after it ran (see run_experiment's note).
+        plan = ExecutionConfig(jobs=2, batch=True).resolve("E5")
+        assert plan.notes == ()
+        assert isinstance(plan.create_backend(), LocalPoolBackend)
 
     def test_trials_override_requires_a_trials_parameter(self):
         assert ExecutionConfig(trials=7).resolve("E1").trials == 7
@@ -65,8 +75,6 @@ class TestResolution:
         assert summary == {
             "jobs": 2,
             "batch": True,
-            "runner": "batch",
-            "point_jobs": 2,
             "trials": 3,
             "base_seed": 9,
             "backend": None,
@@ -107,18 +115,21 @@ class TestBackendResolution:
         with pytest.raises(ExperimentError, match="without a backend"):
             ExecutionConfig(backend_options={"workers": 2}).resolve("E1")
 
-    def test_parallel_backend_without_jobs_engages_the_parallel_machinery(self):
+    def test_parallel_backend_without_jobs_uses_one_worker_per_cpu(self):
         plan = ExecutionConfig(backend="local").resolve("E8")
-        assert isinstance(plan.runner, ParallelTrialRunner)
+        backend = plan.create_backend()
+        assert isinstance(backend, LocalPoolBackend) and backend.jobs is None
         assert plan.jobs is None  # the *requested* jobs stay untouched
 
     def test_in_process_backend_stays_serial(self):
-        plan = ExecutionConfig(backend="in-process").resolve("E8")
-        assert plan.runner is None and plan.point_jobs is None
+        from repro.exec.backends import InProcessBackend
+
+        plan = ExecutionConfig(backend="in-process", jobs=3).resolve("E8")
+        assert isinstance(plan.create_backend(), InProcessBackend)
 
     def test_explicit_jobs_win_over_the_backend_default(self):
-        plan = ExecutionConfig(jobs=3, backend="local").resolve("E8")
-        assert isinstance(plan.runner, ParallelTrialRunner) and plan.runner.jobs == 3
+        backend = ExecutionConfig(jobs=3, backend="local").resolve("E8").create_backend()
+        assert isinstance(backend, LocalPoolBackend) and backend.jobs == 3
 
     def test_create_backend_builds_the_named_backend(self):
         from repro.exec.backends import InProcessBackend, LocalPoolBackend, RemoteWorkerBackend
@@ -204,10 +215,6 @@ class TestFromEnv:
 
 
 class TestResolveRunOptions:
-    def test_config_and_legacy_kwargs_are_mutually_exclusive(self):
-        with pytest.raises(ExperimentError, match="both config= and legacy"):
-            resolve_run_options("E1", config=ExecutionConfig(), batch=True)
-
     def test_resolved_plan_passes_through_unchanged(self):
         plan = ExecutionConfig(batch=True).resolve("E1")
         assert resolve_run_options("E1", config=plan) is plan
@@ -221,13 +228,7 @@ class TestResolveRunOptions:
         with pytest.raises(ExperimentError, match="ExecutionConfig or ExecutionPlan"):
             resolve_run_options("E1", config=object())  # type: ignore[arg-type]
 
-    def test_legacy_kwargs_warn_once_and_flow_through(self):
-        with pytest.warns(DeprecationWarning, match="run_experiment"):
-            plan = resolve_run_options("E8", batch=True, point_jobs=2)
-        assert isinstance(plan, ExecutionPlan)
-        assert plan.batch and plan.point_jobs == 2
-
-    def test_no_arguments_neither_warn_nor_resolve_parallelism(self, recwarn):
+    def test_no_config_resolves_the_in_process_defaults(self):
         plan = resolve_run_options("E8")
-        assert not plan.batch and plan.runner is None and plan.point_jobs is None
-        assert not [w for w in recwarn.list if w.category is DeprecationWarning]
+        assert isinstance(plan, ExecutionPlan)
+        assert not plan.batch and plan.create_backend() is None and plan.notes == ()

@@ -1,50 +1,36 @@
-"""Tests for run_experiment and the drivers' deprecation-shimmed legacy path.
+"""Tests for run_experiment and the drivers' direct ``run(config=...)`` path.
 
-The equivalence class here is the satellite contract of the API redesign:
-calling a driver's ``run`` directly with the legacy ``runner=`` / ``batch=``
-/ ``point_jobs=`` keywords must (a) emit exactly one
-:class:`DeprecationWarning` and (b) return a report bit-identical to
-:func:`repro.api.run_experiment` with the equivalent
-:class:`~repro.api.ExecutionConfig` — for every one of the eleven drivers.
+The equivalence class here is the determinism contract of the one
+parallelism knob: calling a driver's ``run`` directly with a config (no
+backend installed, so every dispatch is an in-process loop) must return a
+report bit-identical to :func:`repro.api.run_experiment` running the same
+experiment on a two-worker local pool — for every one of the eleven
+drivers.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
 import repro
 from repro.api import ExecutionConfig, run_experiment
 from repro.errors import ExperimentError
-from repro.exec import SerialTrialRunner
 from repro.experiments import DRIVERS
 
-#: Tiny per-driver configurations (mirroring the integration tests) plus the
-#: legacy execution kwargs each driver supports and the equivalent config.
-SHIM_CASES = {
-    "E1": (dict(sizes=(200, 400), epsilon=0.3, trials=2),
-           dict(batch=True, point_jobs=2), ExecutionConfig(jobs=2, batch=True)),
-    "E2": (dict(epsilons=(0.25, 0.45), n=300, trials=2),
-           dict(batch=True), ExecutionConfig(batch=True)),
-    "E3": (dict(sizes=(300,), epsilons=(0.3,), trials=2),
-           dict(runner=SerialTrialRunner()), ExecutionConfig(jobs=1)),
-    "E4": (dict(n=600, epsilons=(0.3,), trials=4),
-           dict(runner=SerialTrialRunner()), ExecutionConfig(jobs=1)),
-    "E5": (dict(n=1500, epsilon=0.4, beta_override=6, trials=2),
-           dict(runner=SerialTrialRunner()), ExecutionConfig(jobs=1)),
-    "E6": (dict(n=800, epsilon=0.3, trials=2),
-           dict(runner=SerialTrialRunner()), ExecutionConfig(jobs=1)),
-    "E7": (dict(n=250, epsilons=(0.3,), trials=2, voter_rounds=32),
-           dict(batch=True), ExecutionConfig(batch=True)),
-    "E8": (dict(n=400, epsilon=0.3, set_sizes=(120,), biases=(0.05, 0.3), trials=2),
-           dict(batch=True), ExecutionConfig(batch=True)),
-    "E9": (dict(n=250, epsilon=0.3, skews=(4,), trials=2),
-           dict(runner=SerialTrialRunner()), ExecutionConfig(jobs=1)),
-    "E10": (dict(epsilon=0.25, deltas=(0.01, 0.1), monte_carlo_reps=2000),
-            dict(batch=True), ExecutionConfig(batch=True)),
-    "E11": (dict(n=120, epsilon=0.35, trials=2),
-            dict(runner=SerialTrialRunner()), ExecutionConfig(jobs=1)),
+#: Tiny per-driver configurations (mirroring the integration tests) plus
+#: the batch flag each case runs with.
+DRIVER_CASES = {
+    "E1": (dict(sizes=(200, 400), epsilon=0.3, trials=2), True),
+    "E2": (dict(epsilons=(0.25, 0.45), n=300, trials=2), True),
+    "E3": (dict(sizes=(300,), epsilons=(0.3,), trials=2), False),
+    "E4": (dict(n=600, epsilons=(0.3,), trials=4), False),
+    "E5": (dict(n=1500, epsilon=0.4, beta_override=6, trials=2), False),
+    "E6": (dict(n=800, epsilon=0.3, trials=2), False),
+    "E7": (dict(n=250, epsilons=(0.3,), trials=2, voter_rounds=32), True),
+    "E8": (dict(n=400, epsilon=0.3, set_sizes=(120,), biases=(0.05, 0.3), trials=2), True),
+    "E9": (dict(n=250, epsilon=0.3, skews=(4,), trials=2), False),
+    "E10": (dict(epsilon=0.25, deltas=(0.01, 0.1), monte_carlo_reps=2000), True),
+    "E11": (dict(n=120, epsilon=0.35, trials=2), False),
 }
 
 
@@ -57,7 +43,7 @@ class TestRunExperiment:
         assert artifact.wall_time_seconds > 0
         assert artifact.parameters["monte_carlo_reps"] == 2000
         assert artifact.parameters["base_seed"] == 1010  # spec default resolved in
-        assert artifact.execution["runner"] == "serial"
+        assert artifact.execution["backend"] is None and artifact.execution["notes"] == []
 
     def test_config_overrides_are_recorded_in_parameters(self):
         artifact = run_experiment(
@@ -82,8 +68,8 @@ class TestRunExperiment:
         with pytest.raises(ExperimentError, match="pass it once"):
             run_experiment("E11", config=ExecutionConfig(trials=2), trials=3)
 
-    def test_driver_rejects_config_plus_legacy_kwargs(self):
-        with pytest.raises(ExperimentError, match="both config= and legacy"):
+    def test_driver_takes_execution_settings_through_config_only(self):
+        with pytest.raises(TypeError, match="batch"):
             DRIVERS["E1"].run(sizes=(200,), trials=1, config=ExecutionConfig(), batch=True)
 
     def test_accepts_an_already_resolved_plan(self):
@@ -97,23 +83,15 @@ class TestRunExperiment:
             run_experiment("E10", config=plan)
 
 
-@pytest.mark.parametrize("experiment_id", sorted(SHIM_CASES, key=lambda key: int(key[1:])))
-class TestDeprecationShim:
-    def test_legacy_kwargs_bit_identical_and_warn_once(self, experiment_id):
-        tiny, legacy_kwargs, config = SHIM_CASES[experiment_id]
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            artifact = run_experiment(experiment_id, config=config, **tiny)
-        assert not [w for w in caught if w.category is DeprecationWarning], (
-            "the unified API must not trip its own deprecation shim"
-        )
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy_report = DRIVERS[experiment_id].run(**tiny, **legacy_kwargs)
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1, f"expected exactly one DeprecationWarning, got {deprecations}"
-        assert "run_experiment" in str(deprecations[0].message)
-
-        assert legacy_report.render() == artifact.report.render()
+@pytest.mark.parametrize("experiment_id", sorted(DRIVER_CASES, key=lambda key: int(key[1:])))
+class TestDirectDriverCall:
+    def test_in_process_driver_call_matches_a_pooled_run(self, experiment_id):
+        tiny, batch = DRIVER_CASES[experiment_id]
+        direct = DRIVERS[experiment_id].run(config=ExecutionConfig(batch=batch), **tiny)
+        pooled = run_experiment(experiment_id, config=ExecutionConfig(jobs=2, batch=batch), **tiny)
+        assert pooled.report.render() == direct.render()
+        if experiment_id == "E10":  # vectorised in-process: no pool is built
+            assert pooled.execution["backend"] is None
+        else:
+            assert pooled.execution["backend"]["name"] == "local"
+            assert pooled.execution["backend"]["tasks"] > 0

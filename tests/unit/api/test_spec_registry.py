@@ -28,7 +28,7 @@ from repro.errors import ExperimentError
 from repro.experiments import DRIVERS
 
 #: run() keywords owned by the execution layer, not declared as parameters.
-EXECUTION_KWARGS = {"runner", "batch", "point_jobs", "config"}
+EXECUTION_KWARGS = {"config"}
 
 README = Path(__file__).resolve().parents[3] / "README.md"
 
@@ -67,13 +67,12 @@ class TestRegistryShape:
 class TestSpecsCannotDriftFromDrivers:
     """The satellite contract: every spec flag matches the driver's behaviour."""
 
-    def test_capability_flags_match_run_signature(self, experiment_id):
+    def test_execution_settings_travel_through_config_only(self, experiment_id):
         spec = REGISTRY[experiment_id]
         parameters = inspect.signature(spec.driver().run).parameters
-        assert spec.supports_runner == ("runner" in parameters)
-        assert spec.supports_batch == ("batch" in parameters)
-        assert spec.supports_point_jobs == ("point_jobs" in parameters)
         assert "config" in parameters, "every driver must accept config="
+        assert not {"runner", "batch", "point_jobs", "jobs"} & set(parameters)
+        assert spec.supports_jobs == (experiment_id != "E10")
 
     def test_declared_parameters_match_run_signature(self, experiment_id):
         spec = REGISTRY[experiment_id]
@@ -113,15 +112,14 @@ class TestReadmeTableMatchesRegistry:
         """The batch-coverage matrix (experiment x capability flags) is pinned
         against the registry row by row, like the experiment table."""
         matrix_rows = re.findall(
-            r"^\|\s*(E\d+)\s*\|\s*(yes|no)\s*\|\s*(yes|no)\s*\|\s*(yes|no)\s*\|",
+            r"^\|\s*(E\d+)\s*\|\s*(yes|no)\s*\|\s*(yes|no)\s*\|",
             README.read_text(),
             re.MULTILINE,
         )
         assert [row[0] for row in matrix_rows] == experiment_ids(), (
             "README.md must contain one batch-coverage matrix row per registered experiment"
         )
-        for experiment_id, runner, batch, point_jobs in matrix_rows:
+        for experiment_id, jobs, batch in matrix_rows:
             spec = REGISTRY[experiment_id]
-            assert (runner == "yes") == spec.supports_runner, experiment_id
+            assert (jobs == "yes") == spec.supports_jobs, experiment_id
             assert (batch == "yes") == spec.supports_batch, experiment_id
-            assert (point_jobs == "yes") == spec.supports_point_jobs, experiment_id

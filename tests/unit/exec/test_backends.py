@@ -1,9 +1,10 @@
 """Unit tests for the execution-backend layer and its pool routing.
 
 Covers the :class:`~repro.exec.backends.base.ExecutionBackend` contract
-(ordered results, lifecycle, active-backend installation), the chunking pin
-that closes the historical per-task-IPC gap, the labelled worker-failure
-errors, and the adversarial ordering differential: a mock backend that
+(ordered results, lifecycle, task counting, active-backend installation per
+thread and its reset in pool workers), the chunking pin, the labelled
+worker-failure errors, the routing of every dispatch helper through the one
+funnel, and the adversarial ordering differential: a mock backend that
 completes tasks in shuffled order must still produce a bit-identical E8
 sweep.
 """
@@ -11,6 +12,7 @@ sweep.
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 
@@ -43,6 +45,16 @@ def _trial(seed, index):
     return {"value": seed + index}
 
 
+def _point_trial(point, seed, index):
+    return {"value": point["a"] + index}
+
+
+def _active_backend_name(_index):
+    """Worker-side probe: the name of the backend this process sees as active."""
+    backend = active_backend()
+    return None if backend is None else backend.name
+
+
 class TestTask:
     def test_run_task_applies_args_and_kwargs(self):
         task = Task(fn=_add, args=(2,), kwargs={"b": 3})
@@ -68,7 +80,18 @@ class TestTask:
 class TestInProcessBackend:
     def test_results_come_back_in_task_order(self):
         tasks = [Task(fn=_add, args=(i, 1)) for i in range(5)]
-        assert InProcessBackend().submit(tasks) == [1, 2, 3, 4, 5]
+        backend = InProcessBackend()
+        assert backend.submit(tasks) == [1, 2, 3, 4, 5]
+        assert backend.describe() == {"name": "in-process", "tasks": 5}
+
+    def test_tasks_see_no_backend_like_pool_workers(self):
+        """A dispatch nested inside a task loops in-process, as in a worker."""
+        backend = InProcessBackend()
+        with use_backend(backend):
+            seen = backend.submit([Task(fn=_active_backend_name, args=(0,))])
+            assert active_backend() is backend
+        assert seen == [None]
+        assert backend.tasks_submitted == 1
 
     def test_exceptions_propagate_raw(self):
         """Exactly the historical serial semantics: no wrapping."""
@@ -86,6 +109,15 @@ class TestLocalPoolBackend:
             assert backend._pool is pool_object  # no respawn between submits
         assert first == second == [0, 1, 2, 3]
         assert backend._pool is None  # close() tore it down
+        assert backend.describe() == {"name": "local", "tasks": 8, "jobs": 2}
+
+    def test_workers_do_not_inherit_the_active_backend(self):
+        """A forked worker starts with no backend, so a nested dispatch inside
+        a task loops in that worker instead of reaching a copy of the pool."""
+        with LocalPoolBackend(jobs=2) as backend, use_backend(backend):
+            seen = backend.submit([Task(fn=_active_backend_name, args=(i,)) for i in range(4)])
+            assert active_backend() is backend  # the parent keeps its own
+        assert seen == [None] * 4
 
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ExperimentError, match="positive integer"):
@@ -148,6 +180,84 @@ class TestActiveBackend:
                 raise RuntimeError("driver failed")
         assert active_backend() is None
 
+    def test_two_threads_install_their_own_backends(self):
+        """The service runs jobs on worker threads: each run keeps its own
+        backend, and a run that named none never sees another's."""
+        first, second = InProcessBackend(), InProcessBackend()
+        both_installed = threading.Barrier(3)
+        seen = {}
+        errors = []
+
+        def run(key, backend):
+            try:
+                if backend is None:
+                    both_installed.wait(timeout=10)
+                    seen[key] = active_backend()
+                    both_installed.wait(timeout=10)
+                    return
+                with use_backend(backend):
+                    both_installed.wait(timeout=10)
+                    seen[key] = active_backend()
+                    both_installed.wait(timeout=10)
+            except Exception as error:  # surfaced below, in the test thread
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=run, args=("first", first)),
+            threading.Thread(target=run, args=("second", second)),
+            threading.Thread(target=run, args=("none", None)),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert errors == []
+        assert seen == {"first": first, "second": second, "none": None}
+
+    def test_concurrent_runs_on_two_threads(self):
+        """End to end: a run with a named backend on one thread while another
+        thread runs with a backend and a third with none installed."""
+        from repro.api import ExecutionConfig, run_experiment
+
+        kwargs = dict(n=60, epsilon=0.3, set_sizes=(10,), biases=(0.2,), trials=2, base_seed=3)
+        expected = run_experiment("E8", config=ExecutionConfig(), **kwargs).report.render()
+        holder = _RecordingBackend()
+        installed, release = threading.Event(), threading.Event()
+        results = {}
+        errors = []
+
+        def hold_a_backend():
+            with use_backend(holder):
+                installed.set()
+                release.wait(timeout=60)
+
+        def run(key, backend):
+            try:
+                artifact = run_experiment("E8", config=ExecutionConfig(backend=backend), **kwargs)
+                results[key] = artifact.report.render()
+            except Exception as error:  # surfaced below, in the test thread
+                errors.append(error)
+
+        other = threading.Thread(target=hold_a_backend)
+        other.start()
+        assert installed.wait(timeout=10)
+        workers = [
+            threading.Thread(target=run, args=("named", "in-process")),
+            threading.Thread(target=run, args=("unnamed", None)),
+        ]
+        for thread in workers:
+            thread.start()
+        for thread in workers:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        release.set()
+        other.join(timeout=10)
+        assert not other.is_alive()
+        assert errors == []
+        assert results == {"named": expected, "unnamed": expected}
+        assert holder.submissions == [], "a run on another thread used this thread's backend"
+
 
 class _RecordingBackend(InProcessBackend):
     """In-process execution that records every submitted task list."""
@@ -161,49 +271,59 @@ class _RecordingBackend(InProcessBackend):
 
 
 class TestPoolRouting:
-    """Every pool helper funnels through the installed backend."""
+    """Every dispatch helper funnels through the installed backend."""
 
-    def test_run_trials_in_pool_routes_to_the_active_backend(self):
+    def test_run_trials_routes_to_the_active_backend(self):
+        from repro.analysis.experiments import run_trials
+        from repro.exec.seeds import trial_seeds
+
         backend = _RecordingBackend()
         with use_backend(backend):
-            results = pool.run_trials_in_pool(_trial, [10, 20], jobs=4, name="exp")
-        assert results == [{"value": 10}, {"value": 21}]
+            result = run_trials("exp", _trial, 2, base_seed=4)
+        seeds = trial_seeds(4, "exp", 2)
+        assert [trial["value"] for trial in result.trials] == [seeds[0], seeds[1] + 1]
         (tasks,) = backend.submissions
-        assert tasks[1].context == (("experiment", "exp"), ("trial", 1), ("seed", 20))
+        assert tasks[1].context == (("experiment", "exp"), ("trial", 1), ("seed", seeds[1]))
 
-    def test_run_point_trials_in_pool_routes_and_labels_points(self):
+    def test_run_sweep_routes_one_task_per_point_and_labels_it(self):
+        from repro.analysis.sweeps import run_sweep
+
         backend = _RecordingBackend()
         with use_backend(backend):
-            results = pool.run_point_trials_in_pool(
-                [(_trial, (5, 6)), (_trial, (7,))], jobs=4, names=["sweep[a]", "sweep[b]"]
-            )
-        assert results == [[{"value": 5}, {"value": 7}], [{"value": 7}]]
+            sweep = run_sweep("sweep", [{"a": 1}, {"a": 2}], _point_trial, trials_per_point=2)
+        names = sweep.point_names()
         (tasks,) = backend.submissions
-        assert tasks[0].context == (("point", "sweep[a]"), ("first_seed", 5))
-        assert tasks[1].context == (("point", "sweep[b]"), ("first_seed", 7))
+        assert len(tasks) == 2
+        for task, name, result in zip(tasks, names, sweep.results):
+            assert task.context == (("point", name), ("first_seed", result.trials[0].seed))
 
-    def test_run_tasks_in_pool_scrapes_context_from_kwargs(self):
+    def test_run_point_tasks_scrapes_context_from_kwargs(self):
         backend = _RecordingBackend()
         with use_backend(backend):
-            results = pool.run_tasks_in_pool(
-                [(_add, {"a": 1, "b": 2}), (_add, {"a": 3, "b": 4})], jobs=4
+            results = pool.run_point_tasks(
+                [(_add, {"a": 1, "b": 2}), (_add, {"a": 3, "b": 4})]
             )
         assert results == [3, 7]
         (tasks,) = backend.submissions
         assert tasks[0].context == (("position", 0),)
 
-    def test_run_point_tasks_uses_the_backend_even_for_one_job(self):
-        """An installed backend overrides the jobs<=1 in-process shortcut."""
+    def test_run_point_tasks_uses_the_backend_even_for_one_task(self):
         backend = _RecordingBackend()
         with use_backend(backend):
-            results = pool.run_point_tasks([(_add, {"a": 1, "b": 1})], point_jobs=None)
+            results = pool.run_point_tasks([(_add, {"a": 1, "b": 1})])
         assert results == [2]
         assert len(backend.submissions) == 1
 
-    def test_no_backend_falls_back_to_the_per_call_pool(self):
-        """Historical semantics: jobs<=1 without a backend stays in-process."""
-        results = pool.run_point_tasks([(_add, {"a": 1, "b": 1})], point_jobs=None)
+    def test_no_backend_runs_in_process(self):
+        """Without a backend every dispatch is an in-process loop."""
+        results = pool.run_point_tasks([(_add, {"a": 1, "b": 1})])
         assert results == [2]
+
+    def test_unpicklable_tasks_stay_in_process(self):
+        backend = _RecordingBackend()
+        with use_backend(backend):
+            results = pool.submit_tasks([Task(fn=lambda: 7)])
+        assert results == [7] and backend.submissions == []
 
 
 class _ShuffledBackend(InProcessBackend):
@@ -216,6 +336,7 @@ class _ShuffledBackend(InProcessBackend):
     name = "shuffled"
 
     def submit(self, tasks):
+        self.tasks_submitted += len(tasks)
         order = list(range(len(tasks)))
         random.Random(1234).shuffle(order)
         results = [None] * len(tasks)
@@ -233,9 +354,10 @@ class TestOrderedAssemblyDifferential:
             n=60, epsilon=0.3, set_sizes=(10, 16), biases=(0.2,), trials=3, base_seed=11
         )
         serial = run_experiment("E8", config=ExecutionConfig(), **kwargs)
-        with use_backend(_ShuffledBackend()):
-            # Force the parallel path so the sweep actually dispatches tasks.
-            shuffled = run_experiment("E8", config=ExecutionConfig(jobs=2), **kwargs)
+        with use_backend(_ShuffledBackend()) as backend:
+            # A run that names no backend dispatches onto the installed one.
+            shuffled = run_experiment("E8", config=ExecutionConfig(), **kwargs)
+        assert backend.tasks_submitted == 2
         assert shuffled.report.rows == serial.report.rows
         assert shuffled.report.render() == serial.report.render()
 

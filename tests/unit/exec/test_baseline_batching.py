@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import ExecutionConfig, run_experiment
 from repro.errors import ExperimentError
 from repro.exec.batching import (
     batchable_baselines,
@@ -226,7 +227,9 @@ class TestBaselineSweepShape:
                 defaults={"n": 150, "epsilon": 0.3},
             )
 
-    def test_point_jobs_is_bit_identical_to_in_process(self):
+    def test_local_pool_is_bit_identical_to_in_process(self):
+        from repro.exec.backends import LocalPoolBackend, use_backend
+
         kwargs = dict(
             name="B",
             points=[{"protocol": "immediate-forwarding"}, {"protocol": "noisy-voter", "max_rounds": 24}],
@@ -235,7 +238,9 @@ class TestBaselineSweepShape:
             defaults={"n": 150, "epsilon": 0.3},
         )
         in_process = run_sweep_batched(**kwargs)
-        pooled = run_sweep_batched(point_jobs=2, **kwargs)
+        with LocalPoolBackend(jobs=2) as backend, use_backend(backend):
+            pooled = run_sweep_batched(**kwargs)
+        assert backend.tasks_submitted == 2, "one pool task per sweep point"
         assert [r.to_dict() for r in pooled.results] == [
             r.to_dict() for r in in_process.results
         ]
@@ -249,7 +254,7 @@ class TestE7DriverBatchMode:
 
         kwargs = dict(n=300, epsilons=(0.3,), trials=2, voter_rounds=48)
         serial = e7_baselines.run(**kwargs)
-        batched = e7_baselines.run(batch=True, **kwargs)
+        batched = e7_baselines.run(config=ExecutionConfig(batch=True), **kwargs)
         serial_rows = {row["protocol"]: row for row in serial.rows}
         batched_rows = {row["protocol"]: row for row in batched.rows}
         assert list(serial_rows) == list(batched_rows)
@@ -262,22 +267,20 @@ class TestE7DriverBatchMode:
             assert rows["noisy-voter"]["all_correct_rate"] == 0.0
             assert rows["direct-source-reference"]["all_correct_rate"] == 1.0
 
-    def test_e7_batch_point_jobs_identical(self):
-        from repro.experiments import e7_baselines
-
-        kwargs = dict(n=250, epsilons=(0.3,), trials=2, voter_rounds=32, batch=True)
-        in_process = e7_baselines.run(**kwargs)
-        pooled = e7_baselines.run(point_jobs=2, **kwargs)
-        assert _rows_equal(in_process.rows, pooled.rows)
-
-    def test_e7_serial_point_jobs_identical(self):
-        """point_jobs is honoured on the non-batch path too (bit-identical)."""
-        from repro.experiments import e7_baselines
-
+    def test_e7_batch_jobs_identical(self):
         kwargs = dict(n=250, epsilons=(0.3,), trials=2, voter_rounds=32)
-        serial = e7_baselines.run(**kwargs)
-        pooled = e7_baselines.run(point_jobs=2, **kwargs)
-        assert _rows_equal(serial.rows, pooled.rows)
+        in_process = run_experiment("E7", config=ExecutionConfig(batch=True), **kwargs)
+        pooled = run_experiment("E7", config=ExecutionConfig(batch=True, jobs=2), **kwargs)
+        assert pooled.execution["backend"]["tasks"] == 4, "one pool task per cell"
+        assert _rows_equal(in_process.report.rows, pooled.report.rows)
+
+    def test_e7_serial_jobs_identical(self):
+        """--jobs is honoured on the non-batch path too (bit-identical)."""
+        kwargs = dict(n=250, epsilons=(0.3,), trials=2, voter_rounds=32)
+        serial = run_experiment("E7", config=ExecutionConfig(), **kwargs)
+        pooled = run_experiment("E7", config=ExecutionConfig(jobs=2), **kwargs)
+        assert pooled.execution["backend"]["tasks"] == 4, "one pool task per cell"
+        assert _rows_equal(serial.report.rows, pooled.report.rows)
 
 
 def _rows_equal(left_rows, right_rows):

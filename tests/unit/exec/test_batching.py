@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import ExecutionConfig, run_experiment
 from repro.core.broadcast import solve_noisy_broadcast
 from repro.core.majority import solve_noisy_majority_consensus
 from repro.errors import ExperimentError, ParameterError, ProtocolError
@@ -21,7 +22,7 @@ from repro.exec.batching import (
     run_majority_batch,
     run_sweep_batched,
 )
-from repro.exec.runner import trial_seed
+from repro.exec.seeds import trial_seed
 from repro.substrate.network import PushGossipNetwork
 from repro.substrate.noise import AdversarialFlipBudgetChannel, BinarySymmetricChannel, PerfectChannel
 
@@ -403,7 +404,9 @@ class TestSweepDispatch:
 
 
 class TestPointParallelBatchedSweep:
-    def test_point_jobs_is_bit_identical_to_in_process(self):
+    def test_local_pool_is_bit_identical_to_in_process(self):
+        from repro.exec.backends import LocalPoolBackend, use_backend
+
         kwargs = dict(
             name="P",
             points=[{"n": 250}, {"n": 300}],
@@ -412,20 +415,21 @@ class TestPointParallelBatchedSweep:
             defaults={"epsilon": 0.3},
         )
         in_process = run_broadcast_sweep_batched(**kwargs)
-        pooled = run_broadcast_sweep_batched(point_jobs=2, **kwargs)
+        with LocalPoolBackend(jobs=2) as backend, use_backend(backend):
+            pooled = run_broadcast_sweep_batched(**kwargs)
+        assert backend.tasks_submitted == 2, "one pool task per sweep point"
         assert [r.to_dict() for r in pooled.results] == [
             r.to_dict() for r in in_process.results
         ]
 
-    def test_negative_point_jobs_rejected(self):
-        with pytest.raises(ExperimentError):
-            run_broadcast_sweep_batched(
-                name="P",
-                points=[{"n": 250}],
-                trials_per_point=2,
-                defaults={"epsilon": 0.3},
-                point_jobs=-1,
-            )
+    def test_negative_jobs_rejected(self):
+        with pytest.raises(ExperimentError, match="non-negative"):
+            _run("E1", ExecutionConfig(jobs=-1, batch=True), sizes=(250,), trials=2)
+
+
+def _run(experiment_id, config, **kwargs):
+    """Run an experiment through the unified API; returns the artifact."""
+    return run_experiment(experiment_id, config=config, **kwargs)
 
 
 class TestDriverBatchMode:
@@ -434,7 +438,9 @@ class TestDriverBatchMode:
         from repro.experiments import e1_rounds_vs_n
 
         serial = e1_rounds_vs_n.run(sizes=(250, 400), epsilon=0.3, trials=2)
-        batched = e1_rounds_vs_n.run(sizes=(250, 400), epsilon=0.3, trials=2, batch=True)
+        batched = e1_rounds_vs_n.run(
+            sizes=(250, 400), epsilon=0.3, trials=2, config=ExecutionConfig(batch=True)
+        )
         assert [row["mean_rounds"] for row in batched.rows] == [
             row["mean_rounds"] for row in serial.rows
         ]
@@ -448,7 +454,7 @@ class TestDriverBatchMode:
 
         kwargs = dict(n=400, epsilon=0.3, set_sizes=(40, 100), biases=(0.3,), trials=2)
         serial = e8_majority.run(**kwargs)
-        batched = e8_majority.run(batch=True, **kwargs)
+        batched = e8_majority.run(config=ExecutionConfig(batch=True), **kwargs)
         assert [row["mean_rounds"] for row in batched.rows] == [
             row["mean_rounds"] for row in serial.rows
         ]
@@ -457,22 +463,20 @@ class TestDriverBatchMode:
         ]
         assert all(row["success_rate"] >= 0.5 for row in batched.rows)
 
-    def test_e8_batch_point_jobs_identical(self):
-        from repro.experiments import e8_majority
-
+    def test_e8_batch_jobs_identical(self):
         kwargs = dict(n=300, epsilon=0.3, set_sizes=(40,), biases=(0.3, 0.35), trials=2)
-        batched = e8_majority.run(batch=True, **kwargs)
-        pooled = e8_majority.run(batch=True, point_jobs=2, **kwargs)
-        assert batched.rows == pooled.rows
+        batched = _run("E8", ExecutionConfig(batch=True), **kwargs)
+        pooled = _run("E8", ExecutionConfig(batch=True, jobs=2), **kwargs)
+        assert pooled.execution["backend"]["tasks"] == 2
+        assert batched.report.rows == pooled.report.rows
 
-    def test_e8_serial_point_jobs_identical(self):
-        """point_jobs is honoured on the non-batch path too (bit-identical)."""
-        from repro.experiments import e8_majority
-
+    def test_e8_serial_jobs_identical(self):
+        """--jobs is honoured on the non-batch path too (bit-identical)."""
         kwargs = dict(n=300, epsilon=0.3, set_sizes=(40,), biases=(0.3, 0.35), trials=2)
-        serial = e8_majority.run(**kwargs)
-        pooled = e8_majority.run(point_jobs=2, **kwargs)
-        assert serial.rows == pooled.rows
+        serial = _run("E8", ExecutionConfig(), **kwargs)
+        pooled = _run("E8", ExecutionConfig(jobs=2), **kwargs)
+        assert pooled.execution["backend"]["tasks"] == 2
+        assert serial.report.rows == pooled.report.rows
 
     def test_e10_batch_mode_statistically_equivalent(self):
         """E10's batched Monte-Carlo grid agrees with the per-delta loop."""
@@ -480,7 +484,7 @@ class TestDriverBatchMode:
 
         kwargs = dict(epsilon=0.25, deltas=(0.02, 0.1), monte_carlo_reps=20_000)
         serial = e10_majority_lemma.run(**kwargs)
-        batched = e10_majority_lemma.run(batch=True, **kwargs)
+        batched = e10_majority_lemma.run(config=ExecutionConfig(batch=True), **kwargs)
         assert batched.config["batch"] is True
         for serial_row, batched_row in zip(serial.rows, batched.rows):
             assert batched_row["exact_majority_prob"] == serial_row["exact_majority_prob"]

@@ -72,6 +72,33 @@ class TestRunExperiment:
         with pytest.raises(TypeError, match="batch"):
             DRIVERS["E1"].run(sizes=(200,), trials=1, config=ExecutionConfig(), batch=True)
 
+    def test_manifest_records_the_backend_and_its_task_count(self):
+        artifact = run_experiment(
+            "E8",
+            config=ExecutionConfig(backend="in-process"),
+            n=60,
+            epsilon=0.3,
+            set_sizes=(10, 16),
+            biases=(0.2,),
+            trials=2,
+        )
+        assert artifact.execution["backend"] == {"name": "in-process", "tasks": 2}
+        assert not {"runner", "point_jobs"} & set(artifact.execution)
+        assert artifact.execution["notes"] == []
+
+    def test_an_idle_in_process_backend_adds_no_jobs_note(self):
+        """The "--jobs has no effect" note is for parallel backends only."""
+        artifact = run_experiment(
+            "E5",
+            config=ExecutionConfig(backend="in-process", batch=True),
+            n=300,
+            epsilon=0.35,
+            beta_override=4,
+            trials=2,
+        )
+        assert artifact.execution["backend"]["tasks"] == 0
+        assert artifact.execution["notes"] == []
+
     def test_accepts_an_already_resolved_plan(self):
         plan = ExecutionConfig(batch=True).resolve("E10")
         artifact = run_experiment("E10", config=plan, deltas=(0.01, 0.1), monte_carlo_reps=2000)

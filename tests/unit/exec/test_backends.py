@@ -11,6 +11,8 @@ sweep.
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import random
 import threading
 
@@ -31,6 +33,7 @@ from repro.exec.backends import (
     use_backend,
     validate_backend_spec,
 )
+from repro.exec.backends.base import clear_active_backend
 
 
 def _add(a, b):
@@ -180,6 +183,15 @@ class TestActiveBackend:
                 raise RuntimeError("driver failed")
         assert active_backend() is None
 
+    def test_clearing_in_a_copied_context_leaves_the_run_its_backend(self):
+        """What a pool worker and the in-process backend do before a task."""
+        backend = InProcessBackend()
+        with use_backend(backend):
+            context = contextvars.copy_context()
+            context.run(clear_active_backend)
+            assert context.run(active_backend) is None
+            assert active_backend() is backend
+
     def test_two_threads_install_their_own_backends(self):
         """The service runs jobs on worker threads: each run keeps its own
         backend, and a run that named none never sees another's."""
@@ -324,6 +336,20 @@ class TestPoolRouting:
         with use_backend(backend):
             results = pool.submit_tasks([Task(fn=lambda: 7)])
         assert results == [7] and backend.submissions == []
+
+
+class TestPicklabilityError:
+    def test_partial_over_a_module_function_pickles(self):
+        task = Task(fn=functools.partial(_add, 1), args=(2,), context=(("seed", 3),))
+        assert pool.picklability_error([task]) is None
+
+    def test_a_closure_is_reported_with_the_error_type(self):
+        offset = 1
+        reason = pool.picklability_error([Task(fn=lambda value: value + offset)])
+        assert reason is not None and reason.split(":")[0] in {
+            "PicklingError",
+            "AttributeError",
+        }
 
 
 class _ShuffledBackend(InProcessBackend):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.experiments import run_trials
+from repro.analysis.experiments import ExperimentResult, run_trials
 from repro.analysis.sweeps import run_sweep
 from repro.api import ExecutionConfig
 from repro.errors import ExperimentError
@@ -35,6 +35,13 @@ def _cheap_trial(seed, trial_index):
 def _bad_trial(seed, trial_index):
     """A trial function that violates the mapping contract."""
     return [seed, trial_index]
+
+
+def _raising_trial(seed, trial_index):
+    """A trial function that fails on its third trial."""
+    if trial_index == 2:
+        raise ValueError(f"trial {trial_index} failed")
+    return {"value": seed}
 
 
 def _sweep_trial(point, seed, index):
@@ -77,6 +84,11 @@ class TestInProcessTrials:
         with pytest.raises(ExperimentError, match="must return a mapping"):
             run_trials("exp", _bad_trial, 1)
 
+    def test_trial_exception_propagates_raw(self):
+        """With no backend the funnel is a plain loop: no wrapping."""
+        with pytest.raises(ValueError, match="trial 2 failed"):
+            run_trials("exp", _raising_trial, 4, base_seed=3)
+
 
 class TestPooledTrials:
     def test_identical_results_to_in_process(self):
@@ -106,6 +118,15 @@ class TestPooledTrials:
         pooled, _ = _on_pool(4, run_trials, "few", _cheap_trial, 2, base_seed=6)
         assert pooled.to_dict() == run_trials("few", _cheap_trial, 2, base_seed=6).to_dict()
 
+    def test_trial_exception_in_a_worker_names_the_trial(self):
+        seed = trial_seed(3, "boom", 2)
+        with pytest.raises(ExperimentError) as excinfo:
+            _on_pool(2, run_trials, "boom", _raising_trial, 4, base_seed=3)
+        message = str(excinfo.value)
+        assert "local execution failed at task 2" in message
+        assert f"(experiment='boom', trial=2, seed={seed})" in message
+        assert "ValueError: trial 2 failed" in message
+
     def test_worker_result_is_validated_in_the_parent(self):
         with pytest.raises(ExperimentError, match="must return a mapping"):
             _on_pool(2, run_trials, "bad", _bad_trial, 4, base_seed=0)
@@ -113,6 +134,24 @@ class TestPooledTrials:
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ExperimentError):
             LocalPoolBackend(jobs=-2)
+
+
+class TestFromTrials:
+    def test_trials_keep_their_order_and_seeds(self):
+        result = ExperimentResult.from_trials("ft", {"k": 1}, [5, 9], [{"x": 1}, {"x": 2}])
+        assert result.name == "ft" and result.config == {"k": 1}
+        assert [(t.trial_index, t.seed, t["x"]) for t in result.trials] == [(0, 5, 1), (1, 9, 2)]
+
+    def test_copies_config_and_measurements(self):
+        config, measurements = {"k": 1}, {"x": 1}
+        result = ExperimentResult.from_trials("ft", config, [5], [measurements])
+        config["k"], measurements["x"] = 2, 2
+        assert result.config == {"k": 1} and result.trials[0]["x"] == 1
+        assert ExperimentResult.from_trials("ft", None, [5], [{}]).config == {}
+
+    def test_rejects_a_non_mapping_naming_the_experiment(self):
+        with pytest.raises(ExperimentError, match="'ft' must return a mapping, got list"):
+            ExperimentResult.from_trials("ft", None, [5, 9], [{"x": 1}, [2]])
 
 
 class TestJobsSelectTheBackend:
